@@ -9,6 +9,7 @@ as an exact rational, using arbitrary-precision generating-function
 coefficients.
 """
 
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from hypercut import (cutsize_table, expected_balanced_bipartitions,
                       expected_bipartitions, log2_expected_bipartitions,
                       validate, write_balanced_csv, write_table_csv)
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# Output files go to $HYPERCUT_OUTDIR, or to the working directory.
+OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
+OUT.mkdir(parents=True, exist_ok=True)
 
 # =============================================================================
 # Validate parameters.  gamma*n must be divisible by delta; the constructor

@@ -9,6 +9,7 @@ with exact rational equality.  Beyond exhaustive range, Monte Carlo
 sampling brackets each cell with a standard error.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from hypercut import (count_bipartitions, cutsize_table,
                       validate)
 from hypercut.oracle import write_estimate_csv
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# Output files go to $HYPERCUT_OUTDIR, or to the working directory.
+OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
+OUT.mkdir(parents=True, exist_ok=True)
 
 # =============================================================================
 # Per-instance counting.  One sampled instance of E(4, 2, 4); each of the

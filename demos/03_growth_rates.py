@@ -7,6 +7,7 @@ negative such bipartitions are exponentially rare; the first sigma where
 the balanced rate turns positive is the typical minimum cutsize.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from hypercut import (balanced_growth_rate, balanced_growth_rate_closed,
                       peak_growth, peak_sigma, typical_min_cutsize, validate,
                       write_curve_csv)
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# Output files go to $HYPERCUT_OUTDIR, or to the working directory.
+OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
+OUT.mkdir(parents=True, exist_ok=True)
 
 # =============================================================================
 # Point evaluation.  The inner infimum is solved numerically; at mu1 = 1/2

@@ -8,13 +8,15 @@ bipartition needs cutsize about beta* x n, so the design rate 1 - gamma/delta
 must be at least beta* for the split to stand a chance.
 """
 
+import os
 from pathlib import Path
 
 from hypercut import verdict
 from hypercut.asymptotics import write_verdict_csv
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# Output files go to $HYPERCUT_OUTDIR, or to the working directory.
+OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
+OUT.mkdir(parents=True, exist_ok=True)
 
 # =============================================================================
 # Scan the three degree families.  gamma = 2 passes everywhere; gamma = 3

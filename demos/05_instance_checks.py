@@ -6,6 +6,7 @@ bipartition (balance, cutsize, per-part GF(2) ranks), and brute-forces the
 minimum cutsize and the largest usable parallel degree.
 """
 
+import os
 from pathlib import Path
 
 from hypercut import (BinaryMatrix, Partition, check_block_diagonalizable,
@@ -14,8 +15,9 @@ from hypercut import (BinaryMatrix, Partition, check_block_diagonalizable,
                       min_cutsize_bruteforce, read_alist, read_partition,
                       sample, validate, write_alist, write_partition)
 
-OUT = Path(__file__).parent / "output"
-OUT.mkdir(exist_ok=True)
+# Output files go to $HYPERCUT_OUTDIR, or to the working directory.
+OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
+OUT.mkdir(parents=True, exist_ok=True)
 
 # =============================================================================
 # Sample an instance and store it as alist.  The format keeps the support

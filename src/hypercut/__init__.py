@@ -15,11 +15,11 @@ from .core import (DEFAULT_ENUM_CAP, BinaryMatrix, CapExceeded,
                    min_cutsize_bruteforce, tanner_to_hypergraph)
 from .ensemble import (RNG_ALGORITHM, EnsembleParams, enumerate_all, sample,
                        validate)
-from .exact_distribution import (CutsizeTable, PolyZ, balanced_first_part_range,
-                                 constellation_coeff, cut_node_poly,
-                                 cutsize_table, expected_balanced_bipartitions,
+from .exact_distribution import (CutsizeTable, balanced_first_part_range,
+                                 constellation_coeff, cutsize_table,
+                                 expected_balanced_bipartitions,
                                  expected_bipartitions,
-                                 log2_expected_bipartitions, uncut_node_poly,
+                                 log2_expected_bipartitions,
                                  write_balanced_csv, write_table_csv)
 from .formats import read_alist, read_partition, write_alist, write_partition
 from .oracle import (MonteCarloEstimate, count_bipartitions,
@@ -31,11 +31,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatrix", "CapExceeded", "CutsizeTable", "DEFAULT_ENUM_CAP",
     "EncodabilityVerdict", "EnsembleParams", "GrowthPoint", "Hypergraph",
-    "MonteCarloEstimate", "Partition", "PolyZ", "RNG_ALGORITHM",
+    "MonteCarloEstimate", "Partition", "RNG_ALGORITHM",
     "VerdictRow", "as_ratio", "balanced_first_part_range",
     "balanced_growth_rate", "balanced_growth_rate_closed", "binary_entropy",
     "check_block_diagonalizable", "constellation_coeff", "count_bipartitions",
-    "curve", "cut_node_poly", "cutsize", "cutsize_table",
+    "curve", "cutsize", "cutsize_table",
     "enumerate_all", "exact_ensemble_average", "expected_balanced_bipartitions",
     "expected_bipartitions", "gf2_rank", "growth_rate",
     "hypergraph_from_matrix", "inner_infimum", "is_balanced",
@@ -43,7 +43,7 @@ __all__ = [
     "max_parallel_degree", "min_cutsize_bruteforce", "monte_carlo_average",
     "peak_growth", "peak_sigma", "read_alist", "read_partition", "sample",
     "tanner_to_hypergraph", "typical_min_cutsize",
-    "typical_min_cutsize_fixed_part", "uncut_node_poly", "validate",
+    "typical_min_cutsize_fixed_part", "validate",
     "verdict", "write_alist", "write_balanced_csv", "write_curve_csv",
     "write_estimate_csv", "write_partition", "write_table_csv",
     "write_verdict_csv",

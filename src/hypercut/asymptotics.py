@@ -429,10 +429,14 @@ def curve(ensemble, epsilon: float, sigma_grid: Iterable[float],
     return points
 
 
-def write_curve_csv(points: Sequence[GrowthPoint], path: str | Path) -> None:
+def curve_csv_text(points: Sequence[GrowthPoint]) -> str:
     lines = ["sigma,h"]
     lines += [f"{p.sigma:.10g},{p.value:.10g}" for p in points]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_curve_csv(points: Sequence[GrowthPoint], path: str | Path) -> None:
+    Path(path).write_text(curve_csv_text(points))
 
 
 def write_verdict_csv(rows: Sequence[VerdictRow], path: str | Path) -> None:

@@ -60,13 +60,8 @@ def cmd_dist(args) -> int:
                                                   args.suppress_zeros)
         print(f"wrote {rows} rows to {out}")
     else:
-        print("s,m1,A_num,A_den")
-        for s in range(params.n + 1):
-            for m1 in range(params.m + 1):
-                val = table.value(s, m1)
-                if args.suppress_zeros and val == 0:
-                    continue
-                print(f"{s},{m1},{val.numerator},{val.denominator}")
+        sys.stdout.write(exact_distribution.table_csv_text(
+            table, args.suppress_zeros))
 
     eps = _eps(args.epsilon)
     if eps is not None:
@@ -80,13 +75,8 @@ def cmd_dist(args) -> int:
                                                          args.suppress_zeros)
             print(f"wrote {rows} balanced rows to {bout}")
         else:
-            dist = table.balanced_distribution(eps)
-            print("s,B_num,B_den")
-            for s in range(params.n + 1):
-                val = dist[s]
-                if args.suppress_zeros and val == 0:
-                    continue
-                print(f"{s},{val.numerator},{val.denominator}")
+            sys.stdout.write(exact_distribution.balanced_csv_text(
+                table, eps, args.suppress_zeros))
 
     if args.check_oracle:
         avg = oracle.exact_ensemble_average(params, cap=args.cap)
@@ -110,9 +100,7 @@ def cmd_growth(args) -> int:
         asymptotics.write_curve_csv(pts, out)
         print(f"wrote {len(pts)} points to {out}")
     else:
-        print("sigma,h")
-        for p in pts:
-            print(f"{p.sigma:.10g},{p.value:.10g}")
+        sys.stdout.write(asymptotics.curve_csv_text(pts))
     return 0
 
 
@@ -196,12 +184,8 @@ def cmd_oracle(args) -> int:
 
     if args.mode == "exhaustive":
         avg = oracle.exact_ensemble_average(params, cap=args.cap)
-        print("s,m1,A_num,A_den")
-        for s in range(params.n + 1):
-            for m1 in range(params.m + 1):
-                val = avg.value(s, m1)
-                if val != 0:
-                    print(f"{s},{m1},{val.numerator},{val.denominator}")
+        sys.stdout.write(exact_distribution.table_csv_text(
+            avg, suppress_zeros=True))
         if out is not None:
             exact_distribution.write_table_csv(avg, out)
             print(f"wrote table to {out}")

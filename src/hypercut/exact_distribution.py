@@ -8,9 +8,15 @@ bipartitions with cutsize s and first-part size m1 is
 
 with p(u) = (1+u)^gamma - 1 - u^gamma enumerating the active-socket patterns
 of a cut net and q(u) = 1 + u^gamma those of an uncut one, and the value is
-zero whenever s > delta*m1 or s > delta*(m - m1).  Everything here is exact:
-polynomial coefficients are arbitrary-precision integers and table entries
-are reduced rationals.  Floats appear only in the log2 evaluator.
+zero whenever s > delta*m1 or s > delta*(m - m1).
+
+Every coefficient comes from one kernel.  ``_cut_powers`` walks the powers
+p^s by one multiplication with p each, and ``_coeff`` expands q^t by the
+binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k -
+gamma*r)).  A full table walks the powers once; a single cell walks them up
+to its s.  Everything here is exact: coefficients are arbitrary-precision
+integers and table entries are reduced rationals.  Floats appear only in the
+log2 evaluator.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import CapExceeded, as_ratio
 from .ensemble import EnsembleParams
@@ -27,83 +34,48 @@ from .ensemble import EnsembleParams
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class PolyZ:
-    """Dense univariate polynomial over the integers.
+def _cut_powers(gamma: int) -> Iterator[list[int]]:
+    """Coefficient lists of p(u)^s for s = 0, 1, 2, ...
 
-    ``coeffs[i]`` is the coefficient of u^i; trailing zeros are trimmed, so
-    the zero polynomial has an empty tuple.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
-    def __mul__(self, other: "PolyZ") -> "PolyZ":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PolyZ(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return PolyZ(tuple(out))
-
-    def __pow__(self, exponent: int) -> "PolyZ":
-        """Power by repeated squaring; ``p**0`` is 1 even for p = 0."""
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = PolyZ((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-
-def cut_node_poly(gamma: int) -> PolyZ:
-    """(1+u)^gamma - 1 - u^gamma: active-socket patterns of a cut net.
-
-    A degree-gamma net is cut iff it has between 1 and gamma-1 active
-    sockets, hence coefficient C(gamma, j) at u^j for those j.  Identically
-    zero for gamma = 1 (a single-vertex net is never cut).
+    Entry i of each list is the coefficient of u^i and the last entry is
+    nonzero.  p has the gamma - 1 terms C(gamma, j) u^j, 0 < j < gamma (a
+    degree-gamma net is cut iff 1 to gamma-1 of its sockets are active), so
+    for gamma = 1 it is zero: p^0 = [1] and every later power is empty.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    return PolyZ((0,) + tuple(math.comb(gamma, j) for j in range(1, gamma)))
+    terms = [(j, math.comb(gamma, j)) for j in range(1, gamma)]
+    power = [1]
+    while True:
+        yield power
+        nxt = [0] * (len(power) + gamma - 1) if terms else []
+        for j, c in terms:
+            for i, a in enumerate(power, j):
+                nxt[i] += c * a
+        power = nxt
 
 
-def uncut_node_poly(gamma: int) -> PolyZ:
-    """1 + u^gamma: an uncut net has 0 or gamma active sockets."""
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
-    return PolyZ((1,) + (0,) * (gamma - 1) + (1,))
+def _binomial_row(t: int) -> list[int]:
+    """[C(t, 0), C(t, 1), ..., C(t, t)]."""
+    row = [1]
+    for r in range(t):
+        row.append(row[-1] * (t - r) // (r + 1))
+    return row
+
+
+def _coeff(power: list[int], gamma: int, row: list[int], k: int) -> int:
+    """coef(p^s * q^t, u^k) from p^s = ``power`` and ``row`` = C(t, .).
+
+    q^t = sum_r C(t, r) u^(gamma*r), so only the r with 0 <= k - gamma*r
+    <= deg p^s contribute.
+    """
+    r_lo = max(0, -(-(k - len(power) + 1) // gamma))
+    r_hi = min(len(row) - 1, k // gamma)
+    return sum(row[r] * power[k - gamma * r] for r in range(r_lo, r_hi + 1))
 
 
 def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
-    """Coefficient of u^k in cut_node_poly^s * uncut_node_poly^(n-s).
+    """Coefficient of u^k in p(u)^s * q(u)^(n-s).
 
     Counts the ways to place k active sockets on n degree-gamma nets of
     which exactly the first s are cut.  Out-of-range k gives 0.
@@ -112,8 +84,8 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if k < 0:
         return 0
-    prod = cut_node_poly(gamma) ** s * uncut_node_poly(gamma) ** (n - s)
-    return prod.coeff(k)
+    power = next(islice(_cut_powers(gamma), s, None))
+    return _coeff(power, gamma, _binomial_row(n - s), k)
 
 
 def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
@@ -204,42 +176,28 @@ class CutsizeTable:
 def cutsize_table(params: EnsembleParams, max_n: int = 2000) -> CutsizeTable:
     """Exact table of avg(s, m1) for every cell; identities are verified.
 
-    Reuses p^s across the s-loop and extracts the needed coefficients of
-    p^s * q^(n-s) through the binomial expansion of q^(n-s) = (1+u^gamma)^(n-s),
-    which gives the same integers as the repeated-squaring product at a
-    fraction of the cost.
+    Walks the powers p^s once, builds one binomial row C(n-s, .) per s, and
+    takes every cell's coefficient from them with the same kernel that
+    ``constellation_coeff`` uses.
     """
     if params.n > max_n:
         raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
                           f"{max_n}")
     n, m, g, d = params.n, params.m, params.gamma, params.delta
-    cut = cut_node_poly(g)
     denom = [math.comb(d * m, d * m1) for m1 in range(m + 1)]
 
     cells: dict[tuple[int, int], Fraction] = {}
-    power = PolyZ((1,))
-    for s in range(n + 1):
-        if s > 0:
-            power = power * cut
-        pc = power.coeffs
-        top = len(pc) - 1
+    for s, power in zip(range(n + 1), _cut_powers(g)):
         c_ns = math.comb(n, s)
-        t = n - s
+        row = _binomial_row(n - s)
         for m1 in range(m + 1):
-            if s > d * m1 or s > d * (m - m1):
-                cells[(s, m1)] = Fraction(0)
-                continue
-            k = d * m1
-            # coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k - g*r))
-            r_lo = max(0, -(-(k - top) // g))
-            r_hi = min(t, k // g)
-            coef = sum(math.comb(t, r) * pc[k - g * r]
-                       for r in range(r_lo, r_hi + 1))
-            if coef:
-                cells[(s, m1)] = Fraction(
-                    math.comb(m, m1) * c_ns * coef, denom[m1])
-            else:
-                cells[(s, m1)] = Fraction(0)
+            coef = 0
+            if s <= d * m1 and s <= d * (m - m1):
+                coef = _coeff(power, g, row, d * m1)
+            # Empty cells skip the gcd against the large denominator.
+            cells[(s, m1)] = (Fraction(math.comb(m, m1) * c_ns * coef,
+                                       denom[m1])
+                              if coef else Fraction(0))
     table = CutsizeTable(params, cells)
     table.validate()
     return table
@@ -278,9 +236,8 @@ def log2_expected_bipartitions(params: EnsembleParams, s: int,
             + _log2_int(coef))
 
 
-def write_table_csv(table: CutsizeTable, path: str | Path,
-                    suppress_zeros: bool = False) -> int:
-    """CSV rows ``s,m1,A_num,A_den`` (exact integers); returns the row count."""
+def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:
+    """CSV rows ``s,m1,A_num,A_den`` (exact integers) under a header line."""
     lines = ["s,m1,A_num,A_den"]
     n, m = table.params.n, table.params.m
     for s in range(n + 1):
@@ -289,12 +246,19 @@ def write_table_csv(table: CutsizeTable, path: str | Path,
             if suppress_zeros and val == 0:
                 continue
             lines.append(f"{s},{m1},{val.numerator},{val.denominator}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    return "\n".join(lines) + "\n"
 
 
-def write_balanced_csv(table: CutsizeTable, epsilon, path: str | Path,
-                       suppress_zeros: bool = False) -> int:
+def write_table_csv(table: CutsizeTable, path: str | Path,
+                    suppress_zeros: bool = False) -> int:
+    """Write ``table_csv_text`` to ``path``; returns the data row count."""
+    text = table_csv_text(table, suppress_zeros)
+    Path(path).write_text(text)
+    return text.count("\n") - 1
+
+
+def balanced_csv_text(table: CutsizeTable, epsilon,
+                      suppress_zeros: bool = False) -> str:
     """CSV rows ``s,B_num,B_den`` for the eps-balanced distribution."""
     dist = table.balanced_distribution(epsilon)
     lines = ["s,B_num,B_den"]
@@ -303,5 +267,12 @@ def write_balanced_csv(table: CutsizeTable, epsilon, path: str | Path,
         if suppress_zeros and val == 0:
             continue
         lines.append(f"{s},{val.numerator},{val.denominator}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+    return "\n".join(lines) + "\n"
+
+
+def write_balanced_csv(table: CutsizeTable, epsilon, path: str | Path,
+                       suppress_zeros: bool = False) -> int:
+    """Write ``balanced_csv_text`` to ``path``; returns the data row count."""
+    text = balanced_csv_text(table, epsilon, suppress_zeros)
+    Path(path).write_text(text)
+    return text.count("\n") - 1

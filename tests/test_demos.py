@@ -1,14 +1,23 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("0*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script, tmp_path):
+    # The child runs in tmp_path, so a relative PYTHONPATH would not find
+    # the package; put the absolute source directory first.
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath,
+               HYPERCUT_OUTDIR=str(tmp_path))
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -8,21 +9,19 @@ from hypothesis import strategies as st
 
 from hypercut.core import CapExceeded
 from hypercut.ensemble import validate
-from hypercut.exact_distribution import (CutsizeTable, PolyZ,
+from hypercut.exact_distribution import (CutsizeTable,
                                          balanced_first_part_range,
-                                         constellation_coeff, cut_node_poly,
-                                         cutsize_table,
+                                         constellation_coeff, cutsize_table,
                                          expected_balanced_bipartitions,
                                          expected_bipartitions,
                                          log2_expected_bipartitions,
-                                         uncut_node_poly, write_balanced_csv,
-                                         write_table_csv)
+                                         write_balanced_csv, write_table_csv)
 
 
 # ---------------------------------------------------------------- oracles
 
 def naive_mul(a, b):
-    """Schoolbook convolution, written independently of PolyZ."""
+    """Schoolbook convolution, written independently of the package."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -56,50 +55,7 @@ def _params(n, g, d):
         return validate(n, g, d)
 
 
-# ----------------------------------------------------------------- PolyZ
-
-small_polys = st.lists(st.integers(-9, 9), max_size=6).map(
-    lambda cs: PolyZ(tuple(cs)))
-
-
-class TestPolyZ:
-    def test_trailing_zeros_trimmed(self):
-        assert PolyZ((1, 2, 0, 0)).coeffs == (1, 2)
-        assert PolyZ((0, 0)).is_zero()
-        assert PolyZ(()).degree == -1
-
-    def test_zero_to_the_zero_is_one(self):
-        assert (PolyZ(()) ** 0).coeffs == (1,)
-        assert (PolyZ(()) ** 3).is_zero()
-
-    @given(small_polys, small_polys)
-    def test_mul_matches_naive(self, a, b):
-        assert (a * b).coeffs == tuple(naive_mul(list(a.coeffs),
-                                                 list(b.coeffs)))
-
-    @given(small_polys, st.integers(0, 6))
-    @settings(max_examples=60)
-    def test_pow_matches_repeated_multiplication(self, a, e):
-        assert (a ** e).coeffs == tuple(naive_pow(list(a.coeffs), e))
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            PolyZ((1, 1)) ** -1
-
-
-class TestNodePolys:
-    def test_gamma_2(self):
-        assert cut_node_poly(2).coeffs == (0, 2)
-        assert uncut_node_poly(2).coeffs == (1, 0, 1)
-
-    def test_gamma_3(self):
-        assert cut_node_poly(3).coeffs == (0, 3, 3)
-        assert uncut_node_poly(3).coeffs == (1, 0, 0, 1)
-
-    def test_gamma_1_degenerate(self):
-        assert cut_node_poly(1).is_zero()
-        assert uncut_node_poly(1).coeffs == (1, 1)
-
+# --------------------------------------------------------- coefficients
 
 class TestConstellationCoeff:
     def test_frozen_values(self):
@@ -184,6 +140,19 @@ class TestCutsizeTable:
     def test_budget_guard(self):
         with pytest.raises(CapExceeded):
             cutsize_table(validate(4, 2, 4), max_n=3)
+
+    @pytest.mark.parametrize("n, gamma, delta, digest", [
+        (60, 2, 4,
+         "df77c3da8183a34023aa24c9a6bf2d728a222aebea6a694d78dbc1a2274c3f1c"),
+        (48, 3, 6,
+         "355db24c559313e745268bb605c546517bf22d0aa2b69b1d399c3d72bcc63ffb"),
+    ])
+    def test_golden_csv_digest(self, tmp_path, n, gamma, delta, digest):
+        # The digest pins every digit of every cell; cells here run to
+        # hundreds of digits, far beyond the n <= 10 property tests.
+        out = tmp_path / "a.csv"
+        write_table_csv(cutsize_table(validate(n, gamma, delta)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_validate_catches_corruption(self):
         params = validate(4, 2, 4)
