@@ -15,10 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, exact_distribution, oracle
-from .core import (DEFAULT_ENUM_CAP, CapExceeded, check_block_diagonalizable,
-                   cutsize, hypergraph_from_matrix, is_balanced,
-                   matrix_from_hypergraph, max_parallel_degree,
-                   min_cutsize_bruteforce)
+from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan,
+                   check_block_diagonalizable, hypergraph_from_matrix,
+                   is_balanced, matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import alist_text, read_alist, read_partition, write_alist
 
@@ -152,28 +151,36 @@ def cmd_check(args) -> int:
           f"sizes {part.part_sizes()}")
     print(f"balanced (eps={eps}): {'yes' if is_balanced(part, eps) else 'no'}")
     h = hypergraph_from_matrix(mat)
-    cut = cutsize(h, part)
-    print(f"cutsize: {cut}")
     v = check_block_diagonalizable(mat, part, eps)
+    print(f"cutsize: {v.cutsize}")
     print("per-part (size, exclusive-column rank): "
           + ", ".join(f"({s}, {r})" for s, r in v.per_part_rank))
     print(f"block-diagonal encodable with this partition: "
           f"{'yes' if v.feasible else 'no'}")
-    if v.feasible and n - m < cut:
+    if v.feasible and n - m < v.cutsize:
         print("consistency violated: feasible but n - m < cutsize")
         return 1
 
+    # One scan over K serves both the partition's own K and the max degree.
+    kmax, k = 1, 0
     try:
-        mincut, _ = min_cutsize_bruteforce(h, part.k, eps, cap=args.cap)
-        print(f"min cutsize over eps-balanced {part.k}-way partitions: {mincut}")
-        cond = n - m >= mincut
-        print(f"necessary condition n - m >= min cutsize: "
-              f"{n} - {m} = {n - m} vs {mincut} -> "
-              f"{'SATISFIED' if cond else 'NOT SATISFIED'}")
-        kmax = max_parallel_degree(mat, eps, cap=args.cap)
-        print(f"max parallel degree: {kmax}")
+        for k, mincut in _min_cut_scan(h, eps, args.cap):
+            if k == part.k:
+                if mincut is None:
+                    raise ValueError(f"no {eps}-balanced partition into {k} "
+                                     f"non-empty parts exists for {m} vertices")
+                print(f"min cutsize over eps-balanced {k}-way partitions: "
+                      f"{mincut}")
+                print(f"necessary condition n - m >= min cutsize: "
+                      f"{n} - {m} = {n - m} vs {mincut} -> "
+                      f"{'SATISFIED' if n - m >= mincut else 'NOT SATISFIED'}")
+            if mincut is not None and n - m >= mincut:
+                kmax = k
     except CapExceeded as exc:
-        print(f"brute force skipped: {exc}")
+        print(f"brute force stopped at K = {k + 1}: {exc}")
+        print(f"max parallel degree over K <= {k}: {kmax}")
+    else:
+        print(f"max parallel degree: {kmax}")
     return 0
 
 

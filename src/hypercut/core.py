@@ -13,17 +13,20 @@ Nets are stored socket-level as multisets (the configuration model produces
 multigraphs); every connection test uses the support.  Partitions are
 labeled: (U1, U2) and its swap are distinct objects.  Balance comparisons
 are exact rational arithmetic, never floating point.
+
+Supports and parts are vertex bitmasks: one cut test (``_cut``) and one GF(2)
+eliminator (``_gf2_basis``) serve every caller, and one scan over K
+(``_min_cut_scan``) serves ``max_parallel_degree`` and ``hypercut check``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,13 +148,7 @@ class Hypergraph:
 
     @cached_property
     def support_masks(self) -> tuple[int, ...]:
-        masks = []
-        for sup in self.supports:
-            m = 0
-            for v in sup:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
+        return tuple(sum(1 << v for v in sup) for sup in self.supports)
 
 
 @dataclass(frozen=True)
@@ -267,18 +264,30 @@ def tanner_to_hypergraph(variable_degrees: Sequence[int],
     return Hypergraph(m, tuple(tuple(sorted(net)) for net in nets))
 
 
+def _masks(labels: Sequence[int], parts: int) -> list[int]:
+    """Bitmask of each part 1..parts of a vertex labeling."""
+    masks = [0] * parts
+    for v, lab in enumerate(labels):
+        masks[lab - 1] |= 1 << v
+    return masks
+
+
+def _cut(net_masks: Sequence[int], part_masks: Sequence[int]) -> int:
+    """Number of nets whose support mask lies inside no part mask.  Net masks
+    must be non-zero and part masks disjoint, so no net is inside two parts."""
+    cut = len(net_masks)
+    for pm in part_masks:
+        for mk in net_masks:
+            if mk | pm == pm:
+                cut -= 1
+    return cut
+
+
 def cutsize(h: Hypergraph, p: Partition) -> int:
     """Number of nets whose support meets at least two parts."""
     if len(p.labels) != h.vertex_count:
         raise ValueError("partition does not cover the hypergraph's vertices")
-    labels = p.labels
-    cut = 0
-    for sup in h.supports:
-        it = iter(sup)
-        first = labels[next(it)]
-        if any(labels[v] != first for v in it):
-            cut += 1
-    return cut
+    return _cut(h.support_masks, _masks(p.labels, p.k))
 
 
 def is_balanced(p: Partition, epsilon) -> bool:
@@ -290,23 +299,26 @@ def is_balanced(p: Partition, epsilon) -> bool:
     return max(p.part_sizes()) <= bound
 
 
-def _mask_rank(masks: Iterable[int]) -> int:
-    """GF(2) rank of the row space spanned by integer bitmasks."""
+def _gf2_basis(vectors: Iterable[int]) -> list[int]:
+    """Indices of the GF(2) bitmask ``vectors`` that are independent of
+    the vectors before them: a basis, picked greedily in order."""
     basis: dict[int, int] = {}
-    for v in masks:
+    picked: list[int] = []
+    for i, v in enumerate(vectors):
         while v:
             h = v.bit_length() - 1
             if h in basis:
                 v ^= basis[h]
             else:
                 basis[h] = v
+                picked.append(i)
                 break
-    return len(basis)
+    return picked
 
 
 def gf2_rank(mat: BinaryMatrix) -> int:
     """Rank over GF(2) by elimination on bitmask rows."""
-    return _mask_rank(mat.row_masks())
+    return len(_gf2_basis(mat.row_masks()))
 
 
 def check_block_diagonalizable(mat: BinaryMatrix, p: Partition,
@@ -322,51 +334,30 @@ def check_block_diagonalizable(mat: BinaryMatrix, p: Partition,
     if len(p.labels) != mat.rows:
         raise ValueError(f"dimension mismatch: partition covers {len(p.labels)} "
                          f"vertices, matrix has {mat.rows} rows")
-    labels = p.labels
     balanced = is_balanced(p, epsilon)
-    sups = mat.column_supports()
-
-    cut = 0
-    exclusive: list[list[int]] = [[] for _ in range(p.k)]
-    for j, sup in enumerate(sups):
-        parts = {labels[r] for r in sup}
-        if len(parts) >= 2:
-            cut += 1
-        elif len(parts) == 1:
-            exclusive[next(iter(parts)) - 1].append(j)
+    cols = mat.transpose().row_masks()
+    parts = _masks(p.labels, p.k)
+    cut = _cut([mk for mk in cols if mk], parts)
 
     per_part: list[tuple[int, int]] = []
-    chosen: list[list[int]] = []
-    for part in range(1, p.k + 1):
-        rows_i = p.members(part)
-        pos = {r: t for t, r in enumerate(rows_i)}
-        basis: dict[int, int] = {}
-        picked: list[int] = []
-        for j in exclusive[part - 1]:
-            v = 0
-            for r in sups[j]:
-                v |= 1 << pos[r]
-            while v:
-                hb = v.bit_length() - 1
-                if hb in basis:
-                    v ^= basis[hb]
-                else:
-                    basis[hb] = v
-                    picked.append(j)
-                    break
-            if len(picked) == len(rows_i):
-                break
-        per_part.append((len(rows_i), len(picked)))
-        chosen.append(picked)
+    diag_cols: list[int] = []
+    for pm in parts:
+        # All-zero columns are neither cut nor exclusive to any part.
+        exclusive = [j for j, mk in enumerate(cols)
+                     if mk and not _cut((mk,), (pm,))]
+        picked = [exclusive[i]
+                  for i in _gf2_basis(cols[j] for j in exclusive)]
+        per_part.append((pm.bit_count(), len(picked)))
+        diag_cols += picked
 
     feasible = balanced and all(r == s for s, r in per_part)
     row_order = col_order = None
     if feasible:
         row_order = tuple(v for part in range(1, p.k + 1)
                           for v in p.members(part))
-        diag_cols = [j for picked in chosen for j in picked]
-        rest = [j for j in range(mat.cols) if j not in set(diag_cols)]
-        col_order = tuple(diag_cols + rest)
+        diag = set(diag_cols)
+        col_order = tuple(diag_cols + [j for j in range(mat.cols)
+                                       if j not in diag])
     return EncodabilityVerdict(feasible, balanced, cut, tuple(per_part),
                                row_order, col_order)
 
@@ -392,18 +383,14 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     # Integer ceiling on a part size; exact because eps is a Fraction.
     limit = math.floor(Fraction(m, parts) * (1 + eps))
 
-    sups = h.supports
+    net_masks = h.support_masks
     best: tuple[int, tuple[int, ...]] | None = None
     for labels in itertools.product(range(1, parts + 1), repeat=m):
-        sizes = Counter(labels)
-        if len(sizes) != parts or max(sizes.values()) > limit:
+        masks = _masks(labels, parts)
+        sizes = list(map(int.bit_count, masks))
+        if min(sizes) == 0 or max(sizes) > limit:
             continue
-        cut = 0
-        for sup in sups:
-            it = iter(sup)
-            first = labels[next(it)]
-            if any(labels[v] != first for v in it):
-                cut += 1
+        cut = _cut(net_masks, masks)
         if best is None or cut < best[0]:
             best = (cut, labels)
             if cut == 0:
@@ -414,6 +401,21 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     return best[0], Partition(best[1], parts)
 
 
+def _min_cut_scan(h: Hypergraph, epsilon,
+                  cap: int) -> Iterator[tuple[int, int | None]]:
+    """Yield (K, min cutsize over eps-balanced K-way partitions, or None if
+    there is none) for K = 1..m.  Raises ``CapExceeded`` at the first K
+    whose K^m assignments exceed ``cap``, as every later K would too."""
+    for k in range(1, h.vertex_count + 1):
+        try:
+            mincut = min_cutsize_bruteforce(h, k, epsilon, cap=cap)[0]
+        except CapExceeded:  # a ValueError too, but it ends the scan
+            raise
+        except ValueError:
+            mincut = None
+        yield k, mincut
+
+
 def max_parallel_degree(mat: BinaryMatrix, epsilon,
                         cap: int = DEFAULT_ENUM_CAP) -> int:
     """Largest K with n - m >= min cutsize over eps-balanced K-way partitions.
@@ -422,16 +424,9 @@ def max_parallel_degree(mat: BinaryMatrix, epsilon,
     existence of a balanced partition is not monotone in K (odd m with
     eps = 0 has no balanced bipartition but a balanced m-way partition).
     """
-    h = hypergraph_from_matrix(mat)
     slack = mat.cols - mat.rows
     best = 1
-    for k in range(2, mat.rows + 1):
-        try:
-            mincut, _ = min_cutsize_bruteforce(h, k, epsilon, cap=cap)
-        except CapExceeded:
-            raise
-        except ValueError:
-            continue  # no balanced k-way partition exists
-        if slack >= mincut:
+    for k, mincut in _min_cut_scan(hypergraph_from_matrix(mat), epsilon, cap):
+        if mincut is not None and slack >= mincut:
             best = k
     return best

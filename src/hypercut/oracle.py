@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph
+from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
 from .ensemble import EnsembleParams, enumerate_all, sample_with_rng
 from .exact_distribution import CutsizeTable
 
@@ -37,12 +37,7 @@ def count_bipartitions(h: Hypergraph,
     full = (1 << m) - 1
     counts: dict[tuple[int, int], int] = {}
     for x in range(1 << m):
-        inv = x ^ full
-        s = 0
-        for mk in masks:
-            if (mk & x) and (mk & inv):
-                s += 1
-        key = (s, x.bit_count())
+        key = (_cut(masks, (x, x ^ full)), x.bit_count())
         counts[key] = counts.get(key, 0) + 1
     return counts
 

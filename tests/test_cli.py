@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from hypercut import core
 from hypercut.cli import main
 from hypercut.core import BinaryMatrix, Partition
 from hypercut.formats import read_alist, write_alist, write_partition
@@ -7,6 +9,14 @@ from hypercut.formats import read_alist, write_alist, write_partition
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _identity_instance(tmp_path, labels):
+    """Identity matrix and a partition of its rows, written as check input."""
+    alist, part = tmp_path / "id.alist", tmp_path / "p.txt"
+    write_alist(BinaryMatrix.from_dense(np.eye(len(labels), dtype=int)), alist)
+    write_partition(Partition(labels), part)
+    return alist, part
 
 
 class TestDist:
@@ -136,6 +146,37 @@ class TestSampleAndCheck:
                    "-e", "0") == 0
         out = capsys.readouterr().out
         assert "min cutsize over eps-balanced 2-way partitions:" in out
+
+    def test_check_reports_solved_degrees_at_cap(self, tmp_path, capsys):
+        alist, part = _identity_instance(tmp_path, (1, 1, 2, 2))
+        # 2^4 = 16 assignments fit the cap, 3^4 = 81 do not.
+        assert run("check", "--alist", alist, "--partition", part,
+                   "-e", "0", "--cap", 16) == 0
+        out = capsys.readouterr().out
+        assert "min cutsize over eps-balanced 2-way partitions: 0" in out
+        assert "brute force stopped at K = 3: 3^4 assignments exceed cap 16" \
+            in out
+        assert "max parallel degree over K <= 2: 2" in out
+
+    def test_check_scans_each_k_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = core.min_cutsize_bruteforce
+
+        def counted(h, parts, *args, **kwargs):
+            calls.append(parts)
+            return original(h, parts, *args, **kwargs)
+
+        monkeypatch.setattr(core, "min_cutsize_bruteforce", counted)
+        alist, part = _identity_instance(tmp_path, (1, 1, 2, 2))
+        assert run("check", "--alist", alist, "--partition", part) == 0
+        assert calls == [1, 2, 3, 4]
+        assert "max parallel degree: 4" in capsys.readouterr().out
+
+    def test_check_no_balanced_partition_exit_2(self, tmp_path, capsys):
+        alist, part = _identity_instance(tmp_path, (1, 1, 2))
+        assert run("check", "--alist", alist, "--partition", part,
+                   "-e", "0") == 2
+        assert "no 0-balanced partition into 2" in capsys.readouterr().err
 
     def test_check_empty_part_rejected(self, tmp_path, capsys):
         alist = tmp_path / "id.alist"

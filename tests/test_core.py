@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercut.core import (BinaryMatrix, CapExceeded, Hypergraph, Partition,
-                           as_ratio, check_block_diagonalizable, cutsize,
-                           gf2_rank, hypergraph_from_matrix, is_balanced,
+from hypercut.core import (BinaryMatrix, CapExceeded, EncodabilityVerdict,
+                           Hypergraph, Partition, as_ratio,
+                           check_block_diagonalizable, cutsize, gf2_rank, hypergraph_from_matrix, is_balanced,
                            matrix_from_hypergraph, max_parallel_degree,
                            min_cutsize_bruteforce, tanner_to_hypergraph)
 
@@ -246,6 +246,17 @@ class TestBlockDiagonalizable:
         with pytest.raises(ValueError, match="mismatch"):
             check_block_diagonalizable(mat, Partition((1, 2, 2)), 0)
 
+    def test_zero_column_is_neither_cut_nor_exclusive(self):
+        # Column 1 is all-zero: neither cut nor in a diagonal block, it goes
+        # after the block columns in the witness order.
+        mat = BinaryMatrix.from_columns(
+            [{0}, set(), {0, 1}, {2, 3}, {1}, {3}, {1, 2}], 4)
+        assert check_block_diagonalizable(mat, Partition((1, 1, 2, 2)), 0) \
+            == EncodabilityVerdict(True, True, 1, ((2, 2), (2, 2)),
+                                   (0, 1, 2, 3), (0, 2, 3, 5, 1, 4, 6))
+        assert check_block_diagonalizable(mat, Partition((1, 2, 1, 2)), 0) \
+            == EncodabilityVerdict(False, True, 3, ((2, 1), (2, 2)))
+
     @given(matrices_with_full_columns(), st.data())
     @settings(max_examples=60)
     def test_feasible_implies_cut_bound(self, mat, data):
@@ -279,6 +290,14 @@ class TestMinCutsizeBruteforce:
     def test_two_full_nets(self):
         h = Hypergraph(2, ((0, 1), (0, 1)))
         assert min_cutsize_bruteforce(h, 2, 0)[0] == 2
+
+    def test_golden_argmin(self):
+        # Pins the itertools.product order and the first-minimum tie-break.
+        from hypercut.ensemble import sample, validate
+        cut, argmin = min_cutsize_bruteforce(sample(validate(32, 2, 4), 0),
+                                             2, 0)
+        assert cut == 6
+        assert "".join(map(str, argmin.labels)) == "1121112222112122"
 
     def test_matches_filtered_enumeration_on_sampled_instances(self):
         from hypercut.ensemble import sample, validate

@@ -1,10 +1,13 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypercut.core import CapExceeded, Hypergraph
+from hypercut.core import CapExceeded, Hypergraph, Partition, cutsize
 from hypercut.ensemble import enumerate_all, sample, validate
 from hypercut.exact_distribution import cutsize_table
 from hypercut.oracle import (count_bipartitions, exact_ensemble_average,
@@ -37,6 +40,20 @@ class TestCountBipartitions:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             count_bipartitions(Hypergraph(5, ((0,),)), cap=16)
+
+    @given(st.integers(1, 8).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=4),
+        min_size=1, max_size=8).map(lambda nets: Hypergraph(m, nets))))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_cutsize_over_all_labelings(self, h):
+        m = h.vertex_count
+        hist: dict[tuple[int, int], int] = {}
+        for labels in itertools.product((1, 2), repeat=m):
+            # The two one-part labelings are binned at cut 0.
+            cut = cutsize(h, Partition(labels)) if len(set(labels)) == 2 else 0
+            key = (cut, labels.count(1))
+            hist[key] = hist.get(key, 0) + 1
+        assert count_bipartitions(h) == hist
 
 
 class TestExactEnsembleAverage:
