@@ -15,7 +15,14 @@ below it, balanced bipartitions of that cutsize are exponentially rare.
 
 All logarithms are base 2.  The inner infimum is smooth and convex in
 t = ln u, so it is located by geometric bracketing plus bisection on the
-derivative; every routine here is deterministic.
+derivative.  Its minimizer u* gives dg/dmu1 by the envelope theorem,
+
+    dg/dmu1 = gamma*(delta-1)/delta * log2(mu1/(1-mu1)) - gamma*log2 u*,
+
+so the maximization over mu1 bisects sign changes of that slope found on a
+guard grid of the half interval [1/2, (1+eps)/2] (g is symmetric in
+mu1 <-> 1-mu1); a stationary point satisfies
+ln u* = ((delta-1)/delta)*logit(mu1).  Every routine here is deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ _NEG_INF = float("-inf")
 
 #: |t| beyond which p and q are evaluated by their leading-term series.
 _TAIL = 600.0
+
+#: Evenly spaced points of the guard grid over mu1 in [1/2, (1+eps)/2].
+_GUARD_POINTS = 8
+#: Width of the mu1 bracket at which a slope bisection stops.  The value
+#: error there is O(width^2), because the slope vanishes at the maximum.
+_MU1_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -240,42 +253,32 @@ def growth_rate(sigma: float, mu1: float, ensemble) -> GrowthPoint:
     return GrowthPoint(sigma, mu1, value, u_star)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90):
-    """Golden-section maximization; returns the best (x, f(x)) probed."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(iters):
-        if b - a < 1e-14:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-            if f2 > best[1]:
-                best = (x2, f2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-            if f1 > best[1]:
-                best = (x1, f1)
-    return best
-
-
-def balanced_growth_rate(sigma: float, epsilon: float, ensemble, *,
-                         grid_points: int = 201) -> GrowthPoint:
+def balanced_growth_rate(sigma: float, epsilon: float,
+                         ensemble) -> GrowthPoint:
     """Growth rate of eps-balanced bipartitions: max over allowed mu1.
 
-    Unimodality in mu1 is not guaranteed, so the maximization is a coarse
-    grid over [(1-eps)/2, (1+eps)/2] followed by golden-section refinement
-    around the best grid point; the interval endpoints and 1/2 are always
-    evaluated exactly as final candidates.  eps = 0 short-circuits to the
-    single point mu1 = 1/2.  The returned point carries eps in its ``mu1``
-    field.
+    g is symmetric in mu1 <-> 1-mu1, so the maximum is taken over the half
+    interval [1/2, (1+eps)/2].  By the envelope theorem the inner minimizer
+    gives the slope at no extra cost:
+
+        dg/dmu1 = (c*ln(mu1/(1-mu1)) - gamma*ln u*) / ln 2,
+        c = gamma*(delta-1)/delta,
+
+    so an interior maximum satisfies ln u* = ((delta-1)/delta)*logit(mu1),
+    and the slope is 0 at mu1 = 1/2 by symmetry.  Unimodality in mu1 is not
+    proved, so a guard grid spans the half interval: ``_GUARD_POINTS``
+    evenly spaced points, ends included, plus a probe a thousandth of a step
+    right of 1/2 whose slope tells whether 1/2 is a local maximum.  Every +
+    to - sign change of the slope between grid neighbours is bisected to a
+    ``_MU1_TOL``-wide bracket.  Every evaluated point is a candidate, so
+    1/2 and (1+eps)/2 always are.  Points on or past the support boundary
+    (u* = None or value -inf) keep their value and count as descending: on
+    mu1 >= 1/2 they lie right of every feasible point, and u* grows without
+    bound as the boundary nears.  An undecidable (NaN) slope raises
+    RuntimeError naming the mu1 bracket and the guard grid.
+
+    eps = 0 short-circuits to the single point mu1 = 1/2.  The returned
+    point carries eps in its ``mu1`` field.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -283,27 +286,41 @@ def balanced_growth_rate(sigma: float, epsilon: float, ensemble, *,
         g = growth_rate(sigma, 0.5, ensemble)
         return GrowthPoint(sigma, 0.0, g.value, g.u_star)
 
-    lo = (1.0 - epsilon) / 2.0
+    gamma, delta = _degrees(ensemble)
+    ent_factor = gamma * (delta - 1) / delta
     hi = (1.0 + epsilon) / 2.0
+    step = (hi - 0.5) / (_GUARD_POINTS - 1)
+    grid = ([0.5, 0.5 + step / 1000.0]
+            + [0.5 + i * step for i in range(1, _GUARD_POINTS - 1)] + [hi])
 
-    def val(mu: float) -> float:
-        return growth_rate(sigma, mu, ensemble).value
+    def slope(p: GrowthPoint, lo: float, up: float) -> float:
+        """dg/dmu1 in bits; -inf on or past the support boundary."""
+        if p.u_star is None or p.value == _NEG_INF:
+            return _NEG_INF
+        d = (ent_factor * math.log(p.mu1 / (1.0 - p.mu1))
+             - gamma * math.log(p.u_star)) / _LN2
+        if math.isnan(d):
+            raise RuntimeError(
+                f"mu1 bisection stalled: slope undecidable at mu1={p.mu1} "
+                f"in bracket [{lo}, {up}]; guard grid {grid}")
+        return d
 
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + i * step for i in range(grid_points)]
-    grid_vals = [val(mu) for mu in grid]
-    i_best = max(range(grid_points), key=grid_vals.__getitem__)
+    candidates = [growth_rate(sigma, mu, ensemble) for mu in grid]
+    slopes = [0.0] + [slope(p, 0.5, hi) for p in candidates[1:]]
+    for i in range(len(grid) - 1):
+        if not slopes[i] > 0.0 > slopes[i + 1]:
+            continue
+        lo, up = grid[i], grid[i + 1]
+        while up - lo > _MU1_TOL:
+            mid = 0.5 * (lo + up)
+            p = growth_rate(sigma, mid, ensemble)
+            candidates.append(p)
+            if slope(p, lo, up) > 0.0:
+                lo = mid
+            else:
+                up = mid
 
-    candidates = {lo: grid_vals[0], hi: grid_vals[-1],
-                  grid[i_best]: grid_vals[i_best], 0.5: val(0.5)}
-    if math.isfinite(grid_vals[i_best]):
-        ref_lo = max(lo, grid[i_best] - step)
-        ref_hi = min(hi, grid[i_best] + step)
-        x, fx = _golden_max(val, ref_lo, ref_hi)
-        candidates[x] = fx
-
-    best_mu = max(candidates, key=candidates.__getitem__)
-    best = growth_rate(sigma, best_mu, ensemble)
+    best = max(candidates, key=lambda p: p.value)
     return GrowthPoint(sigma, epsilon, best.value, best.u_star)
 
 
@@ -417,15 +434,15 @@ def verdict(ensemble, epsilon: float = 0.0, **kwargs) -> VerdictRow:
     return VerdictRow(gamma, delta, design_rate, beta, margin >= 0, margin)
 
 
-def curve(ensemble, epsilon: float, sigma_grid: Iterable[float],
-          **kwargs) -> list[GrowthPoint]:
+def curve(ensemble, epsilon: float,
+          sigma_grid: Iterable[float]) -> list[GrowthPoint]:
     """Balanced growth rate sampled on a sigma grid (for plotting/CSV)."""
     points = []
     for s in sigma_grid:
         s = float(s)
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"sigma grid value {s} outside [0, 1]")
-        points.append(balanced_growth_rate(s, epsilon, ensemble, **kwargs))
+        points.append(balanced_growth_rate(s, epsilon, ensemble))
     return points
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import asymptotics, exact_distribution, oracle
 from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan,
-                   check_block_diagonalizable, hypergraph_from_matrix,
-                   is_balanced, matrix_from_hypergraph)
+                   _nonempty_nets, check_block_diagonalizable, is_balanced,
+                   matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import alist_text, read_alist, read_partition, write_alist
 
@@ -150,7 +150,6 @@ def cmd_check(args) -> int:
     print(f"matrix: {m} rows x {n} cols, partition: K={part.k}, "
           f"sizes {part.part_sizes()}")
     print(f"balanced (eps={eps}): {'yes' if is_balanced(part, eps) else 'no'}")
-    h = hypergraph_from_matrix(mat)
     v = check_block_diagonalizable(mat, part, eps)
     print(f"cutsize: {v.cutsize}")
     print("per-part (size, exclusive-column rank): "
@@ -164,7 +163,7 @@ def cmd_check(args) -> int:
     # One scan over K serves both the partition's own K and the max degree.
     kmax, k = 1, 0
     try:
-        for k, mincut in _min_cut_scan(h, eps, args.cap):
+        for k, mincut in _min_cut_scan(_nonempty_nets(mat), eps, args.cap):
             if k == part.k:
                 if mincut is None:
                     raise ValueError(f"no {eps}-balanced partition into {k} "

@@ -401,6 +401,13 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     return best[0], Partition(best[1], parts)
 
 
+def _nonempty_nets(mat: BinaryMatrix) -> Hypergraph:
+    """Hypergraph of the non-empty columns of ``mat``.  An empty net is never
+    cut, so every cutsize equals that of the whole matrix."""
+    return Hypergraph(mat.rows, tuple(tuple(sup) for sup in
+                                      mat.column_supports() if sup))
+
+
 def _min_cut_scan(h: Hypergraph, epsilon,
                   cap: int) -> Iterator[tuple[int, int | None]]:
     """Yield (K, min cutsize over eps-balanced K-way partitions, or None if
@@ -426,7 +433,7 @@ def max_parallel_degree(mat: BinaryMatrix, epsilon,
     """
     slack = mat.cols - mat.rows
     best = 1
-    for k, mincut in _min_cut_scan(hypergraph_from_matrix(mat), epsilon, cap):
+    for k, mincut in _min_cut_scan(_nonempty_nets(mat), epsilon, cap):
         if mincut is not None and slack >= mincut:
             best = k
     return best

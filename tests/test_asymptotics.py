@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypercut import asymptotics
 from hypercut.asymptotics import (GrowthPoint, VerdictRow,
                                   balanced_growth_rate,
                                   balanced_growth_rate_closed, binary_entropy,
@@ -145,6 +146,68 @@ class TestBalancedGrowthRate:
         with pytest.raises(ValueError):
             balanced_growth_rate(0.2, 1.0, (2, 4))
 
+    # Recorded with the 201-point mu1 grid plus golden-section search that
+    # the envelope-theorem solver replaced.
+    @pytest.mark.parametrize("sigma, expect", [
+        (0.1, -0.13012258799823118),
+        (0.2, 0.12255900753427762),
+        (0.3, 0.28159905645347005),
+        (0.5, 0.4000000000000006),
+    ])
+    def test_golden_curve_points(self, sigma, expect):
+        h = balanced_growth_rate(sigma, 0.05, (2, 5))
+        assert h.value == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("sigma, eps, ens", [
+        (0.26, 0.6, (2, 5)),  # maximum strictly inside (1/2, 0.8)
+        (0.92, 0.9, (5, 21)),  # 1/2 is a local minimum; peak near 0.545
+        (0.0125, 0.99, (2, 3)),  # peak between grid and support boundary
+        (0.1, 0.1, (2, 4)),
+        (0.4, 0.3, (3, 6)),
+        (0.05, 0.9, (2, 3)),
+    ])
+    def test_dominates_dense_mu1_grid(self, sigma, eps, ens):
+        lo, hi = (1 - eps) / 2, (1 + eps) / 2
+        dense = max(growth_rate(sigma, lo + i * (hi - lo) / 2000, ens).value
+                    for i in range(2001))
+        assert balanced_growth_rate(sigma, eps, ens).value >= dense - 1e-9
+
+    def test_interior_maximum(self):
+        h = balanced_growth_rate(0.26, 0.6, (2, 5))
+        assert h.value == pytest.approx(0.26608448084253733, abs=1e-10)
+        assert h.value > growth_rate(0.26, 0.8, (2, 5)).value + 2e-4
+
+    def test_inner_solve_budget(self, monkeypatch):
+        calls = []
+        real = asymptotics.inner_infimum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "inner_infimum", counted)
+        for sigma, eps, ens in ((0.26, 0.6, (2, 5)), (0.1, 0.1, (2, 4)),
+                                (0.2, 0.05, (3, 6))):
+            calls.clear()
+            balanced_growth_rate(sigma, eps, ens)
+            assert 0 < len(calls) <= 40
+
+    def test_undecidable_slope_raises_with_bracket(self, monkeypatch):
+        real = asymptotics.growth_rate
+        seen = []
+
+        def nan_past_grid(sigma, mu1, ensemble):
+            # exact on the guard grid and its probe, NaN in the bisection
+            seen.append(mu1)
+            g = real(sigma, mu1, ensemble)
+            if len(seen) <= asymptotics._GUARD_POINTS + 1:
+                return g
+            return GrowthPoint(g.sigma, g.mu1, g.value, float("nan"))
+
+        monkeypatch.setattr(asymptotics, "growth_rate", nan_past_grid)
+        with pytest.raises(RuntimeError, match=r"bracket \[0\.\d+, 0\.\d+\]"):
+            balanced_growth_rate(0.26, 0.6, (2, 5))
+
 
 class TestClosedForm:
     def test_matches_zero_cutsize_form(self):
@@ -216,6 +279,14 @@ class TestTypicalMinCutsize:
         a = typical_min_cutsize_fixed_part(0.5, (2, 4))
         b = typical_min_cutsize(0.0, (2, 4))
         assert a == pytest.approx(b, abs=1e-9)
+
+    def test_golden_balanced_thresholds(self):
+        # recorded with the grid plus golden-section mu1 search that the
+        # envelope-theorem solver replaced
+        assert typical_min_cutsize(0.1, (2, 4)) == pytest.approx(
+            0.1091265890, abs=1e-9)
+        assert typical_min_cutsize(0.1, (2, 5)) == pytest.approx(
+            0.1448863935, abs=1e-9)
 
     def test_imbalance_reduces_threshold(self):
         assert (typical_min_cutsize(0.3, (2, 4))

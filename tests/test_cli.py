@@ -178,6 +178,19 @@ class TestSampleAndCheck:
                    "-e", "0") == 2
         assert "no 0-balanced partition into 2" in capsys.readouterr().err
 
+    def test_check_empty_column(self, tmp_path, capsys):
+        # an empty column is never cut; it still counts in n
+        alist, part = tmp_path / "z.alist", tmp_path / "p.txt"
+        write_alist(BinaryMatrix.from_columns([(0,), (), (0, 1)], 2), alist)
+        write_partition(Partition((1, 2)), part)
+        assert run("check", "--alist", alist, "--partition", part) == 0
+        out = capsys.readouterr().out
+        assert "matrix: 2 rows x 3 cols" in out
+        assert "cutsize: 1" in out
+        assert "min cutsize over eps-balanced 2-way partitions: 1" in out
+        assert "3 - 2 = 1 vs 1 -> SATISFIED" in out
+        assert "max parallel degree: 2" in out
+
     def test_check_empty_part_rejected(self, tmp_path, capsys):
         alist = tmp_path / "id.alist"
         part = tmp_path / "p.txt"

@@ -349,6 +349,10 @@ class TestMaxParallelDegree:
         mat = BinaryMatrix.from_dense([[1, 0, 1, 0], [0, 1, 0, 1]])
         assert max_parallel_degree(mat, 0) == 2
 
+    def test_empty_column_is_never_cut(self):
+        mat = BinaryMatrix.from_columns([(0,), (), (1,)], 2)
+        assert max_parallel_degree(mat, 0) == 2
+
 
 class TestPartition:
     def test_labels_validated(self):
