@@ -5,8 +5,8 @@ random ensembles, their growth rates, and block-diagonal encodability checks.
 from .asymptotics import (GrowthPoint, VerdictRow, balanced_growth_rate,
                           balanced_growth_rate_closed, binary_entropy, curve,
                           growth_rate, inner_infimum, peak_growth, peak_sigma,
-                          typical_min_cutsize, typical_min_cutsize_fixed_part,
-                          verdict, write_curve_csv, write_verdict_csv)
+                          typical_min_cutsize, verdict, write_curve_csv,
+                          write_verdict_csv)
 from .core import (DEFAULT_ENUM_CAP, BinaryMatrix, CapExceeded,
                    EncodabilityVerdict, Hypergraph, Partition, as_ratio,
                    check_block_diagonalizable, cutsize, gf2_rank,
@@ -42,9 +42,8 @@ __all__ = [
     "log2_expected_bipartitions", "matrix_from_hypergraph",
     "max_parallel_degree", "min_cutsize_bruteforce", "monte_carlo_average",
     "peak_growth", "peak_sigma", "read_alist", "read_partition", "sample",
-    "tanner_to_hypergraph", "typical_min_cutsize",
-    "typical_min_cutsize_fixed_part", "validate",
-    "verdict", "write_alist", "write_balanced_csv", "write_curve_csv",
+    "tanner_to_hypergraph", "typical_min_cutsize", "validate", "verdict",
+    "write_alist", "write_balanced_csv", "write_curve_csv",
     "write_estimate_csv", "write_partition", "write_table_csv",
     "write_verdict_csv",
 ]

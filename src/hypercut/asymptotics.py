@@ -43,6 +43,10 @@ _GUARD_POINTS = 8
 #: Width of the mu1 bracket at which a slope bisection stops.  The value
 #: error there is O(width^2), because the slope vanishes at the maximum.
 _MU1_TOL = 1e-8
+#: |phi'| in bits below which the inner minimizer counts as stationary.
+_SLOPE_TOL = 1e-12
+#: Spacing of the sigma grid scanned for the first positive balanced rate.
+_SIGMA_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -144,15 +148,14 @@ def _ratio_q(t: float, gamma: int) -> float:
     return gamma / (1.0 + math.exp(-gt))
 
 
-def inner_infimum(sigma: float, mu1: float, gamma: int, *,
-                  slope_tol: float = 1e-12) -> tuple[float, float]:
+def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
     """Minimize sigma*log2 p(u) + (1-sigma)*log2 q(u) - mu1*gamma*log2 u.
 
     Requires 0 < sigma < gamma*min(mu1, 1-mu1) strictly, which makes the
     objective coercive in t = ln u with a unique interior stationary point
-    (it is convex in t).  The point is bracketed by geometric expansion and
-    polished by bisection on the derivative until |phi'| < ``slope_tol``
-    bits.  Returns (u_star, value in bits).
+    (it is convex in t).  The point is bracketed by geometric expansion from
+    t = 0 downhill and polished by bisection on the derivative until
+    |phi'| < ``_SLOPE_TOL`` bits.  Returns (u_star, value in bits).
     """
     if gamma < 2:
         raise ValueError("inner infimum needs gamma >= 2")
@@ -170,39 +173,30 @@ def inner_infimum(sigma: float, mu1: float, gamma: int, *,
 
     t_star = None
     d0 = dphi(0.0)
-    if abs(d0) < slope_tol:
+    if abs(d0) < _SLOPE_TOL:
         t_star = 0.0
-    elif d0 > 0.0:
-        hi = 0.0
-        lo, step = -1.0, -1.0
-        while (dlo := dphi(lo)) >= 0.0:
-            if abs(dlo) < slope_tol:
-                t_star = lo
-                break
-            step *= 2.0
-            lo += step
-            if lo < -2.0 ** 40:
-                raise RuntimeError(f"bracketing ran away: lo={lo}, "
-                                   f"dphi(lo)={dlo}")
     else:
-        lo = 0.0
-        hi, step = 1.0, 1.0
-        while (dhi := dphi(hi)) <= 0.0:
-            if abs(dhi) < slope_tol:
-                t_star = hi
+        # Step downhill from t = 0, doubling the step, until the slope
+        # changes sign; the bracket is [far, 0] or [0, far].
+        step = -1.0 if d0 > 0.0 else 1.0
+        far = step
+        while (d := dphi(far)) * step <= 0.0:
+            if abs(d) < _SLOPE_TOL:
+                t_star = far
                 break
             step *= 2.0
-            hi += step
-            if hi > 2.0 ** 40:
-                raise RuntimeError(f"bracketing ran away: hi={hi}, "
-                                   f"dphi(hi)={dhi}")
+            far += step
+            if abs(far) > 2.0 ** 40:
+                raise RuntimeError(f"bracketing ran away: t={far}, "
+                                   f"dphi={d}")
+        lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
 
     if t_star is None:
         # dphi(lo) < 0 < dphi(hi); dphi is nondecreasing, so bisect it.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             dm = dphi(mid)
-            if abs(dm) < slope_tol:
+            if abs(dm) < _SLOPE_TOL:
                 t_star = mid
                 break
             if dm > 0.0:
@@ -213,7 +207,7 @@ def inner_infimum(sigma: float, mu1: float, gamma: int, *,
                 break
         if t_star is None:
             t_star = 0.5 * (lo + hi)
-            if abs(dphi(t_star)) >= slope_tol:
+            if abs(dphi(t_star)) >= _SLOPE_TOL:
                 raise RuntimeError(
                     f"stationarity refinement stalled: bracket "
                     f"[{lo}, {hi}], slope {dphi(t_star)}")
@@ -352,74 +346,55 @@ def peak_growth(mu1: float, ensemble) -> float:
     return gamma / delta * binary_entropy(mu1)
 
 
-def _first_positive(f, top: float, grid_step: float, tol: float,
-                    what: str) -> float:
-    """First sign change of f on (0, top], refined by bisection."""
-    prev = 0.0
-    sigma = grid_step
+def typical_min_cutsize(epsilon: float, ensemble, *,
+                        tol: float = 1e-10) -> float:
+    """Smallest relative cutsize where the balanced rate turns positive.
+
+    Balanced bipartitions with smaller relative cutsize are exponentially
+    rare.  The rate is scanned on a ``_SIGMA_STEP`` grid up to its peak,
+    taking the first crossing from below, then bisected to a ``tol``-wide
+    interval.  Needs gamma >= 2, delta >= 3 (the regime where the rate
+    starts <= 0 and the peak is positive, so a root exists); a scan without
+    a sign change raises RuntimeError carrying the scanned (sigma, rate)
+    pairs as ``.grid``.
+    """
+    gamma, delta = _degrees(ensemble)
+    if gamma < 2 or delta < 3:
+        raise ValueError("typical minimum cutsize needs gamma >= 2, delta >= 3")
+    top = peak_sigma(0.5, gamma)
+
+    def rate(s: float) -> float:
+        return balanced_growth_rate(s, epsilon, ensemble).value
+
+    prev, sigma = 0.0, _SIGMA_STEP
     grid: list[tuple[float, float]] = []
-    bracket = None
     while True:
         sigma = min(sigma, top)
-        v = f(sigma)
+        v = rate(sigma)
         grid.append((sigma, v))
         if v > 0.0:
-            bracket = (prev, sigma)
             break
-        prev = sigma
         if sigma >= top:
-            break
-        sigma += grid_step
-    if bracket is None:
-        err = RuntimeError(f"no sign change of {what} found on (0, {top}]; "
-                           f"grid step {grid_step}, {len(grid)} points")
-        err.grid = grid
-        raise err
-    lo, hi = bracket
+            err = RuntimeError(
+                f"no sign change of balanced rate (gamma={gamma}, "
+                f"delta={delta}) found on (0, {top}]; grid step "
+                f"{_SIGMA_STEP}, {len(grid)} points")
+            err.grid = grid
+            raise err
+        prev = sigma
+        sigma += _SIGMA_STEP
+    lo, hi = prev, sigma
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
+        if rate(mid) > 0.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def typical_min_cutsize(epsilon: float, ensemble, *, grid_step: float = 1e-3,
-                        tol: float = 1e-10) -> float:
-    """Smallest relative cutsize where the balanced rate turns positive.
-
-    Balanced bipartitions with smaller relative cutsize are exponentially
-    rare.  The rate is scanned on a sigma grid up to its peak, taking the
-    first crossing from below, then bisected to a ``tol``-wide interval.
-    Needs gamma >= 2, delta >= 3 (the regime where the rate starts <= 0 and
-    the peak is positive, so a root exists).
-    """
-    gamma, delta = _degrees(ensemble)
-    if gamma < 2 or delta < 3:
-        raise ValueError("typical minimum cutsize needs gamma >= 2, delta >= 3")
-    top = peak_sigma(0.5, gamma)
-    return _first_positive(
-        lambda s: balanced_growth_rate(s, epsilon, ensemble).value,
-        top, grid_step, tol, f"balanced rate (gamma={gamma}, delta={delta})")
-
-
-def typical_min_cutsize_fixed_part(mu1: float, ensemble, *,
-                                   grid_step: float = 1e-3,
-                                   tol: float = 1e-10) -> float:
-    """Like ``typical_min_cutsize`` but at fixed relative part size mu1."""
-    gamma, delta = _degrees(ensemble)
-    if gamma < 2 or delta < 3:
-        raise ValueError("typical minimum cutsize needs gamma >= 2, delta >= 3")
-    if not 0.0 < mu1 < 1.0:
-        raise ValueError("mu1 must lie strictly inside (0, 1)")
-    top = peak_sigma(mu1, gamma)
-    return _first_positive(
-        lambda s: growth_rate(s, mu1, ensemble).value,
-        top, grid_step, tol, f"rate at mu1={mu1} (gamma={gamma}, delta={delta})")
-
-
-def verdict(ensemble, epsilon: float = 0.0, **kwargs) -> VerdictRow:
+def verdict(ensemble, epsilon: float = 0.0, *,
+            tol: float = 1e-10) -> VerdictRow:
     """Necessary condition for 2-way parallel encodability, typically.
 
     Compares the design rate 1 - gamma/delta against the typical minimum
@@ -429,7 +404,7 @@ def verdict(ensemble, epsilon: float = 0.0, **kwargs) -> VerdictRow:
     """
     gamma, delta = _degrees(ensemble)
     design_rate = 1.0 - gamma / delta
-    beta = typical_min_cutsize(epsilon, (gamma, delta), **kwargs)
+    beta = typical_min_cutsize(epsilon, (gamma, delta), tol=tol)
     margin = design_rate - beta
     return VerdictRow(gamma, delta, design_rate, beta, margin >= 0, margin)
 

@@ -224,15 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "encodability checks for regular hypergraph ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                        help="enumeration budget (assignments/permutations)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="root isolation tolerance")
+    def add_cap(p):
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+                       help="enumeration budget (assignments/permutations)")
 
-    p = sub.add_parser("dist", parents=[common],
-                       help="exact cutsize distribution table")
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+    p = sub.add_parser("dist", help="exact cutsize distribution table")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-g", "--gamma", type=int, required=True)
     p.add_argument("-d", "--delta", type=int, required=True)
@@ -243,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-oracle", action="store_true",
                    help="verify against the exhaustive permutation average")
     p.add_argument("--suppress-zeros", action="store_true")
+    add_cap(p)
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("growth", parents=[common],
-                       help="balanced growth-rate curve")
+    p = sub.add_parser("growth", help="balanced growth-rate curve")
     p.add_argument("-g", "--gamma", type=int, required=True)
     p.add_argument("-d", "--delta", type=int, required=True)
     p.add_argument("-e", "--epsilon", type=float, default=0.0)
@@ -254,34 +253,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="curve CSV path")
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("tables", parents=[common],
-                       help="design rate vs typical minimum cutsize")
+    p = sub.add_parser("tables", help="design rate vs typical minimum cutsize")
     p.add_argument("-g", "--gamma", required=True,
                    help="comma-separated gamma values")
     p.add_argument("-d", "--delta", required=True,
                    help="comma-separated delta values")
     p.add_argument("-e", "--epsilon", type=float, default=0.0)
     p.add_argument("-o", "--out", help="verdict CSV path")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="root isolation tolerance")
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="sample one instance to alist")
+    p = sub.add_parser("sample", help="sample one instance to alist")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-g", "--gamma", type=int, required=True)
     p.add_argument("-d", "--delta", type=int, required=True)
     p.add_argument("-o", "--out", help="alist output path")
+    add_seed(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="check a partitioned instance")
+    p = sub.add_parser("check", help="check a partitioned instance")
     p.add_argument("--alist", required=True, help="alist matrix file")
     p.add_argument("--partition", required=True, help="partition label file")
     p.add_argument("-e", "--epsilon", default="0")
     p.add_argument("-K", "--parts", type=int,
                    help="expected part count (default: max label)")
+    add_cap(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle",
                        help="brute-force validation of the distribution")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-g", "--gamma", type=int, required=True)
@@ -290,6 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("-o", "--out", help="CSV output path")
+    add_cap(p)
+    add_seed(p)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -290,13 +290,18 @@ def cutsize(h: Hypergraph, p: Partition) -> int:
     return _cut(h.support_masks, _masks(p.labels, p.k))
 
 
-def is_balanced(p: Partition, epsilon) -> bool:
-    """max part size <= (m/K)(1+eps), compared in exact rationals."""
+def _max_part_size(m: int, k: int, epsilon) -> int:
+    """Largest part size of an eps-balanced k-way partition of m vertices:
+    floor((m/k)(1+eps)), exact because eps is coerced to a Fraction."""
     eps = as_ratio(epsilon)
     if eps < 0:
         raise ValueError("imbalance ratio must be non-negative")
-    bound = Fraction(p.size, p.k) * (1 + eps)
-    return max(p.part_sizes()) <= bound
+    return math.floor(Fraction(m, k) * (1 + eps))
+
+
+def is_balanced(p: Partition, epsilon) -> bool:
+    """max part size <= (m/K)(1+eps), compared in exact rationals."""
+    return max(p.part_sizes()) <= _max_part_size(p.size, p.k, epsilon)
 
 
 def _gf2_basis(vectors: Iterable[int]) -> list[int]:
@@ -367,7 +372,9 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     """Exact minimum cutsize over eps-balanced ``parts``-way partitions.
 
     Enumerates all parts^m labeled assignments, so it is only usable at
-    desk scale; guarded by ``cap``.  Returns the minimum and one argmin.
+    desk scale; guarded by ``cap``.  Returns the minimum and one argmin;
+    raises ValueError before enumerating when no eps-balanced partition
+    exists (parts * max part size < m).
     """
     m = h.vertex_count
     if parts < 1:
@@ -377,11 +384,10 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
                          f"for {m} vertices")
     if parts ** m > cap:
         raise CapExceeded(f"{parts}^{m} assignments exceed cap {cap}")
-    eps = as_ratio(epsilon)
-    if eps < 0:
-        raise ValueError("imbalance ratio must be non-negative")
-    # Integer ceiling on a part size; exact because eps is a Fraction.
-    limit = math.floor(Fraction(m, parts) * (1 + eps))
+    limit = _max_part_size(m, parts, epsilon)
+    if parts * limit < m:
+        raise ValueError(f"no {epsilon}-balanced partition into {parts} "
+                         f"non-empty parts exists for {m} vertices")
 
     net_masks = h.support_masks
     best: tuple[int, tuple[int, ...]] | None = None
@@ -395,9 +401,6 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
             best = (cut, labels)
             if cut == 0:
                 break
-    if best is None:
-        raise ValueError(f"no {epsilon}-balanced partition into {parts} "
-                         f"non-empty parts exists for {m} vertices")
     return best[0], Partition(best[1], parts)
 
 

@@ -28,7 +28,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .core import CapExceeded, as_ratio
+from .core import CapExceeded, _max_part_size, as_ratio
 from .ensemble import EnsembleParams
 
 _LN2 = math.log(2.0)
@@ -118,8 +118,8 @@ def balanced_first_part_range(m: int, epsilon) -> tuple[int, int]:
     eps = as_ratio(epsilon)
     if not 0 <= eps < 1:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
-    half = Fraction(m, 2)
-    return math.ceil(half * (1 - eps)), math.floor(half * (1 + eps))
+    hi = _max_part_size(m, 2, eps)
+    return m - hi, hi
 
 
 def expected_balanced_bipartitions(params: EnsembleParams, s: int,
@@ -127,7 +127,7 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
     """Sum of ``expected_bipartitions`` over the eps-balanced |U1| range."""
     lo, hi = balanced_first_part_range(params.m, epsilon)
     return sum((expected_bipartitions(params, s, m1)
-                for m1 in range(max(lo, 0), min(hi, params.m) + 1)),
+                for m1 in range(lo, hi + 1)),
                start=Fraction(0))
 
 
@@ -151,7 +151,6 @@ class CutsizeTable:
     def balanced_distribution(self, epsilon) -> dict[int, Fraction]:
         """Cutsize distribution of eps-balanced bipartitions, per s."""
         lo, hi = balanced_first_part_range(self.params.m, epsilon)
-        lo, hi = max(lo, 0), min(hi, self.params.m)
         return {s: sum((self.cells[(s, m1)] for m1 in range(lo, hi + 1)),
                        start=Fraction(0))
                 for s in range(self.params.n + 1)}

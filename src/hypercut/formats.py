@@ -89,26 +89,25 @@ def read_alist(path: str | Path) -> BinaryMatrix:
                                  f"(row {r}, column {j + 1})")
             entries.add((r - 1, j))
 
+    mat = BinaryMatrix(m, n, frozenset(entries))
+    row_supports = mat.transpose().column_supports()
     for i in range(m):
         lineno, line = lines[4 + n + i]
         neigh = {x for x in _parse_ints(line, lineno, path) if x != 0}
-        expect = {c + 1 for r, c in entries if r == i}
-        if neigh != expect:
+        if neigh != {c + 1 for c in row_supports[i]}:
             raise ValueError(f"{path}:{lineno}: row {i + 1} neighbor list "
                              f"disagrees with the column section")
         if len(neigh) != row_deg[i]:
             raise ValueError(f"{path}:{lineno}: row {i + 1} lists "
                              f"{len(neigh)} columns, degree says {row_deg[i]}")
-
-    return BinaryMatrix(m, n, frozenset(entries))
+    return mat
 
 
 def alist_text(mat: BinaryMatrix) -> str:
     """Render ``mat`` in alist format (columns first, zero-padded)."""
-    cols = [sorted(r + 1 for r, c in mat.entries if c == j)
-            for j in range(mat.cols)]
-    rows = [sorted(c + 1 for r, c in mat.entries if r == i)
-            for i in range(mat.rows)]
+    cols = [sorted(r + 1 for r in sup) for sup in mat.column_supports()]
+    rows = [sorted(c + 1 for c in sup)
+            for sup in mat.transpose().column_supports()]
     cmax = max((len(c) for c in cols), default=0)
     rmax = max((len(r) for r in rows), default=0)
 

@@ -105,14 +105,11 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
     return MonteCarloEstimate(params, samples, seed, mean, stderr)
 
 
-def write_estimate_csv(est: MonteCarloEstimate, path: str | Path,
-                       suppress_zeros: bool = False) -> int:
+def write_estimate_csv(est: MonteCarloEstimate, path: str | Path) -> int:
     """CSV rows ``s,m1,mean,stderr`` (floats, 10 significant digits)."""
     lines = ["s,m1,mean,stderr"]
     for s in range(est.params.n + 1):
         for m1 in range(est.params.m + 1):
-            if suppress_zeros and est.mean[s, m1] == 0:
-                continue
             lines.append(f"{s},{m1},{est.mean[s, m1]:.10g},"
                          f"{est.stderr[s, m1]:.10g}")
     Path(path).write_text("\n".join(lines) + "\n")

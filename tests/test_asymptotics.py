@@ -8,8 +8,7 @@ from hypercut.asymptotics import (GrowthPoint, VerdictRow,
                                   balanced_growth_rate_closed, binary_entropy,
                                   curve, growth_rate, inner_infimum,
                                   peak_growth, peak_sigma,
-                                  typical_min_cutsize,
-                                  typical_min_cutsize_fixed_part, verdict,
+                                  typical_min_cutsize, verdict,
                                   write_curve_csv, write_verdict_csv)
 from hypercut.ensemble import validate
 
@@ -66,6 +65,21 @@ class TestInnerInfimum:
             inner_infimum(0.8, 0.3, 2)  # sigma > gamma*min(mu1, 1-mu1) = 0.6
         with pytest.raises(ValueError):
             inner_infimum(0.1, 0.5, 1)
+
+    # recorded at 2476290, before the two bracket expansions were merged;
+    # mu1 < 1/2 brackets left of t = 0, mu1 > 1/2 right of it
+    @pytest.mark.parametrize("sigma, mu1, gamma, expect", [
+        (0.1, 0.3, 2, (0.6201736729462438, 0.8671646607845307)),
+        (0.3, 0.2, 3, (0.4750880940548522, 1.0687188359831554)),
+        (0.05, 0.1, 5, (0.6191944045057888, 0.6315380563095455)),
+        (0.01, 0.002, 7, (0.12964410562367884, 0.04556610905969432)),
+        (0.1, 0.7, 2, (1.612451549659186, 0.8671646607845307)),
+        (0.3, 0.8, 3, (2.1048727857291727, 1.0687188359831552)),
+        (0.2, 0.95, 5, (7.958436939579739, 0.6863697805880573)),
+        (0.01, 0.998, 7, (7.713424341116785, 0.04556610905969549)),
+    ])
+    def test_golden_minimizer(self, sigma, mu1, gamma, expect):
+        assert inner_infimum(sigma, mu1, gamma) == expect
 
     def test_stationarity_residual(self):
         for gamma in (2, 3, 5):
@@ -275,11 +289,6 @@ class TestTypicalMinCutsize:
             assert balanced_growth_rate(root * frac, 0.0, (2, 5)).value < 0
         assert balanced_growth_rate(root + 1e-6, 0.0, (2, 5)).value > 0
 
-    def test_fixed_part_matches_balanced_at_half(self):
-        a = typical_min_cutsize_fixed_part(0.5, (2, 4))
-        b = typical_min_cutsize(0.0, (2, 4))
-        assert a == pytest.approx(b, abs=1e-9)
-
     def test_golden_balanced_thresholds(self):
         # recorded with the grid plus golden-section mu1 search that the
         # envelope-theorem solver replaced
@@ -297,8 +306,17 @@ class TestTypicalMinCutsize:
             typical_min_cutsize(0.0, (1, 3))
         with pytest.raises(ValueError):
             typical_min_cutsize(0.0, (2, 2))
-        with pytest.raises(ValueError):
-            typical_min_cutsize_fixed_part(0.0, (2, 4))
+
+    def test_no_sign_change_raises_with_grid(self, monkeypatch):
+        monkeypatch.setattr(
+            asymptotics, "balanced_growth_rate",
+            lambda s, eps, ens: GrowthPoint(s, eps, -1.0, None))
+        with pytest.raises(RuntimeError, match="grid step 0.001") as info:
+            typical_min_cutsize(0.0, (2, 4))
+        grid = info.value.grid
+        assert grid[0] == (0.001, -1.0)
+        assert grid[-1] == (peak_sigma(0.5, 2), -1.0)
+        assert f"{len(grid)} points" in str(info.value)
 
 
 class TestVerdict:

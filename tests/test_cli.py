@@ -75,6 +75,12 @@ class TestGrowth:
         assert run("growth", "-g", 3, "-d", 4, "--step", 0.01, "-o", out) == 0
         assert out.read_text().splitlines()[0] == "sigma,h"
 
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("growth", "-g", 2, "-d", 5, "--step", 0.01, "--seed", 1)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestTables:
     def test_table_row_values(self, capsys):
@@ -92,6 +98,10 @@ class TestTables:
 
     def test_invalid_regime(self, capsys):
         assert run("tables", "-g", 1, "-d", 3) == 2
+
+    def test_tolerance_option(self, capsys):
+        assert run("tables", "-g", 2, "-d", 4, "--tol", 1e-6) == 0
+        assert "0.1100" in capsys.readouterr().out
 
     def test_csv(self, tmp_path):
         out = tmp_path / "v.csv"

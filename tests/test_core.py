@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercut import core
 from hypercut.core import (BinaryMatrix, CapExceeded, EncodabilityVerdict,
                            Hypergraph, Partition, as_ratio,
                            check_block_diagonalizable, cutsize, gf2_rank, hypergraph_from_matrix, is_balanced,
@@ -314,6 +315,18 @@ class TestMinCutsizeBruteforce:
         h = Hypergraph(5, ((0, 1, 2, 3, 4),))
         with pytest.raises(ValueError, match="balanced"):
             min_cutsize_bruteforce(h, 2, 0)  # odd m cannot split exactly
+
+    def test_no_balanced_partition_raises_before_enumerating(self,
+                                                             monkeypatch):
+        # 4 parts of at most floor(10/4) = 2 vertices cannot hold 10; the
+        # 4^10 assignments are never visited
+        def no_enumeration(labels, parts):
+            raise AssertionError("enumerated assignments")
+
+        monkeypatch.setattr(core, "_masks", no_enumeration)
+        ring = Hypergraph(10, tuple((i, (i + 1) % 10) for i in range(10)))
+        with pytest.raises(ValueError, match="balanced"):
+            min_cutsize_bruteforce(ring, 4, 0)
 
     def test_more_parts_than_vertices(self):
         with pytest.raises(ValueError, match="non-empty"):

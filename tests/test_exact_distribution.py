@@ -169,6 +169,11 @@ class TestBalanced:
         assert balanced_first_part_range(2, "0.999") == (1, 1)
         assert balanced_first_part_range(10, "0.2") == (4, 6)
 
+    @given(st.integers(0, 200), st.fractions(0, 1).filter(lambda e: e < 1))
+    def test_range_matches_ceil_floor(self, m, eps):
+        assert balanced_first_part_range(m, eps) == (
+            math.ceil(m * (1 - eps) / 2), math.floor(m * (1 + eps) / 2))
+
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
             balanced_first_part_range(2, 1)
