@@ -79,9 +79,7 @@ def cmd_dist(args) -> int:
 
     if args.check_oracle:
         avg = oracle.exact_ensemble_average(params, cap=args.cap)
-        match = all(avg.value(s, m1) == table.value(s, m1)
-                    for s in range(params.n + 1)
-                    for m1 in range(params.m + 1))
+        match = avg == table
         print(f"oracle equality: {'EXACT MATCH PASS' if match else 'MISMATCH FAIL'}")
         if not match:
             status = 1
@@ -195,7 +193,7 @@ def cmd_oracle(args) -> int:
         if out is not None:
             exact_distribution.write_table_csv(avg, out)
             print(f"wrote table to {out}")
-        match = avg.cells == table.cells
+        match = avg == table
         print("EXACT MATCH" if match else "MISMATCH")
         return 0 if match else 1
 

@@ -15,8 +15,13 @@ p^s by one multiplication with p each, and ``_coeff`` expands q^t by the
 binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k -
 gamma*r)).  A full table walks the powers once; a single cell walks them up
 to its s.  Everything here is exact: coefficients are arbitrary-precision
-integers and table entries are reduced rationals.  Floats appear only in the
-log2 evaluator.
+integers.  Floats appear only in the log2 evaluator.
+
+A ``CutsizeTable`` holds integer numerators num[s][m1] over one denominator
+den[m1] per m1 column; for the formula table these are the three binomials
+and the coefficient above over C(delta*m, delta*m1).  Its identity checks
+run in integers.  A reduced ``Fraction`` (and its gcd) is built only when a
+cell, a sum over cells or a CSV row is asked for.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Sequence
 
 from .core import CapExceeded, _max_part_size, as_ratio
 from .ensemble import EnsembleParams
@@ -55,6 +60,11 @@ def _cut_powers(gamma: int) -> Iterator[list[int]]:
         power = nxt
 
 
+def _cut_power(gamma: int, s: int) -> list[int]:
+    """Coefficient list of p(u)^s."""
+    return next(islice(_cut_powers(gamma), s, None))
+
+
 def _binomial_row(t: int) -> list[int]:
     """[C(t, 0), C(t, 1), ..., C(t, t)]."""
     row = [1]
@@ -74,6 +84,31 @@ def _coeff(power: list[int], gamma: int, row: list[int], k: int) -> int:
     return sum(row[r] * power[k - gamma * r] for r in range(r_lo, r_hi + 1))
 
 
+def _numerators(params: EnsembleParams, s: int, power: list[int],
+                 m1s: Iterable[int]) -> list[int]:
+    """C(m, m1) * C(n, s) * coef(p^s q^(n-s), u^(delta*m1)) for m1 in ``m1s``.
+
+    ``power`` is p^s.  Each is the numerator of avg(s, m1) over
+    C(delta*m, delta*m1), and is zero outside the support.
+    """
+    n, m, g, d = params.n, params.m, params.gamma, params.delta
+    c_ns = math.comb(n, s)
+    row = _binomial_row(n - s)
+    nums = []
+    for m1 in m1s:
+        coef = 0
+        if s <= d * m1 and s <= d * (m - m1):
+            coef = _coeff(power, g, row, d * m1)
+        nums.append(math.comb(m, m1) * c_ns * coef if coef else 0)
+    return nums
+
+
+def _ratio_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
+    """sum(a / b) as one reduced Fraction over the common denominator."""
+    lcm = math.lcm(*dens)
+    return Fraction(sum(a * (lcm // b) for a, b in zip(nums, dens)), lcm)
+
+
 def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
     """Coefficient of u^k in p(u)^s * q(u)^(n-s).
 
@@ -84,8 +119,7 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if k < 0:
         return 0
-    power = next(islice(_cut_powers(gamma), s, None))
-    return _coeff(power, gamma, _binomial_row(n - s), k)
+    return _coeff(_cut_power(gamma, s), gamma, _binomial_row(n - s), k)
 
 
 def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
@@ -124,80 +158,135 @@ def balanced_first_part_range(m: int, epsilon) -> tuple[int, int]:
 
 def expected_balanced_bipartitions(params: EnsembleParams, s: int,
                                    epsilon) -> Fraction:
-    """Sum of ``expected_bipartitions`` over the eps-balanced |U1| range."""
-    lo, hi = balanced_first_part_range(params.m, epsilon)
-    return sum((expected_bipartitions(params, s, m1)
-                for m1 in range(lo, hi + 1)),
-               start=Fraction(0))
+    """Sum of ``expected_bipartitions`` over the eps-balanced |U1| range.
+
+    Walks p^s and builds the C(n-s, .) row once for the whole range.
+    """
+    n, m, d = params.n, params.m, params.delta
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}")
+    lo, hi = balanced_first_part_range(m, epsilon)
+    m1s = range(lo, hi + 1)
+    return _ratio_sum(_numerators(params, s, _cut_power(params.gamma, s), m1s),
+                      [math.comb(d * m, d * m1) for m1 in m1s])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutsizeTable:
-    """All exact values avg(s, m1) for s in [0, n], m1 in [0, m]."""
+    """All exact values avg(s, m1) for s in [0, n], m1 in [0, m].
+
+    Cell (s, m1) is ``num[s][m1] / den[m1]``: integer numerators over one
+    positive denominator per m1 column, not necessarily in lowest terms.
+    The accessors reduce on demand.
+    """
 
     params: EnsembleParams
-    cells: Mapping[tuple[int, int], Fraction]
+    num: Sequence[Sequence[int]]
+    den: Sequence[int]
+
+    @property
+    def cells(self) -> dict[tuple[int, int], Fraction]:
+        """Every cell as a reduced Fraction keyed (s, m1), built per access."""
+        return {(s, m1): Fraction(a, b)
+                for s, row in enumerate(self.num)
+                for m1, (a, b) in enumerate(zip(row, self.den))}
+
+    def _check_cell(self, s: int, m1: int) -> None:
+        # KeyError, as the (s, m1) cell mapping gives; a negative list index
+        # would silently wrap.
+        if not (0 <= s <= self.params.n and 0 <= m1 <= self.params.m):
+            raise KeyError((s, m1))
 
     def value(self, s: int, m1: int) -> Fraction:
-        return self.cells[(s, m1)]
-
-    def total(self) -> Fraction:
-        return sum(self.cells.values(), start=Fraction(0))
+        self._check_cell(s, m1)
+        return Fraction(self.num[s][m1], self.den[m1])
 
     def row_sum(self, m1: int) -> Fraction:
-        return sum((self.cells[(s, m1)] for s in range(self.params.n + 1)),
+        self._check_cell(0, m1)
+        return Fraction(sum(row[m1] for row in self.num), self.den[m1])
+
+    def total(self) -> Fraction:
+        return sum(map(self.row_sum, range(self.params.m + 1)),
                    start=Fraction(0))
 
     def balanced_distribution(self, epsilon) -> dict[int, Fraction]:
         """Cutsize distribution of eps-balanced bipartitions, per s."""
         lo, hi = balanced_first_part_range(self.params.m, epsilon)
-        return {s: sum((self.cells[(s, m1)] for m1 in range(lo, hi + 1)),
-                       start=Fraction(0))
-                for s in range(self.params.n + 1)}
+        dens = self.den[lo:hi + 1]
+        return {s: _ratio_sum(row[lo:hi + 1], dens)
+                for s, row in enumerate(self.num)}
+
+    def __eq__(self, other) -> bool:
+        """Equal iff both tables hold the same rational in every cell."""
+        if not isinstance(other, CutsizeTable):
+            return NotImplemented
+        return self.params == other.params and all(
+            x * b == y * a
+            for row, orow in zip(self.num, other.num)
+            for x, a, y, b in zip(row, self.den, orow, other.den))
 
     def validate(self) -> None:
-        """Check the structural identities every exact table must satisfy."""
+        """Check the structural identities every exact table must satisfy.
+
+        All in integers: non-negativity, the support s <= delta*min(m1,
+        m - m1), symmetry m1 <-> m - m1 (cross-multiplied), row sums
+        C(m, m1) and the total 2^m.
+        """
         n, m, d = self.params.n, self.params.m, self.params.delta
-        for (s, m1), val in self.cells.items():
-            if val < 0:
-                raise AssertionError(f"negative cell at {(s, m1)}")
-            if (s > d * m1 or s > d * (m - m1)) and val != 0:
-                raise AssertionError(f"support violated at {(s, m1)}")
-            if val != self.cells[(s, m - m1)]:
-                raise AssertionError(f"symmetry broken at {(s, m1)}")
+        num, den = self.num, self.den
+        if (len(num) != n + 1 or any(len(row) != m + 1 for row in num)
+                or len(den) != m + 1 or min(den) <= 0):
+            raise AssertionError("table is not (n+1) x (m+1) cells over "
+                                 "m+1 positive denominators")
+        for s, row in enumerate(num):
+            k = -(-s // d)  # the support is k <= m1 <= m - k
+            for m1, a in enumerate(row):
+                if a < 0:
+                    raise AssertionError(f"negative cell at {(s, m1)}")
+                if a and not k <= m1 <= m - k:
+                    raise AssertionError(f"support violated at {(s, m1)}")
+        cols = list(zip(*num))
         for m1 in range(m + 1):
-            if self.row_sum(m1) != math.comb(m, m1):
+            a, b = den[m1], den[m - m1]
+            if a == b and cols[m1] == cols[m - m1]:
+                continue
+            for s, (x, y) in enumerate(zip(cols[m1], cols[m - m1])):
+                if x * b != y * a:
+                    raise AssertionError(f"symmetry broken at {(s, m1)}")
+        sums = [sum(col) for col in cols]
+        for m1 in range(m + 1):
+            if sums[m1] != math.comb(m, m1) * den[m1]:
                 raise AssertionError(f"row sum at m1={m1} is not C(m, m1)")
-        if self.total() != 2 ** m:
+        if sum(c // b for c, b in zip(sums, den)) != 2 ** m:
             raise AssertionError("table total is not 2^m")
 
 
-def cutsize_table(params: EnsembleParams, max_n: int = 2000) -> CutsizeTable:
+def cutsize_table(params: EnsembleParams, max_n: int = 1000) -> CutsizeTable:
     """Exact table of avg(s, m1) for every cell; identities are verified.
 
     Walks the powers p^s once, builds one binomial row C(n-s, .) per s, and
     takes every cell's coefficient from them with the same kernel that
-    ``constellation_coeff`` uses.
+    ``constellation_coeff`` uses.  Cells stay integer numerators over
+    C(delta*m, delta*m1); no Fraction is built here.
+
+    Cost, validation included (one run each, Python 3.11 on a 2-core
+    Xeon VM; time and peak RSS):
+
+        (gamma, delta)   n = 400    n = 1000           n = 2000
+        (2, 4)           0.40 s     7.0 s,  72 MiB     69 s,  333 MiB
+        (3, 6)           1.20 s     34 s,  157 MiB     704 s, 985 MiB
+
+    so the default ``max_n`` stops at n = 1000, where a (3, 6) table takes
+    about half a minute.
     """
     if params.n > max_n:
         raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
                           f"{max_n}")
     n, m, g, d = params.n, params.m, params.gamma, params.delta
-    denom = [math.comb(d * m, d * m1) for m1 in range(m + 1)]
-
-    cells: dict[tuple[int, int], Fraction] = {}
-    for s, power in zip(range(n + 1), _cut_powers(g)):
-        c_ns = math.comb(n, s)
-        row = _binomial_row(n - s)
-        for m1 in range(m + 1):
-            coef = 0
-            if s <= d * m1 and s <= d * (m - m1):
-                coef = _coeff(power, g, row, d * m1)
-            # Empty cells skip the gcd against the large denominator.
-            cells[(s, m1)] = (Fraction(math.comb(m, m1) * c_ns * coef,
-                                       denom[m1])
-                              if coef else Fraction(0))
-    table = CutsizeTable(params, cells)
+    num = [_numerators(params, s, power, range(m + 1))
+           for s, power in zip(range(n + 1), _cut_powers(g))]
+    den = [math.comb(d * m, d * m1) for m1 in range(m + 1)]
+    table = CutsizeTable(params, num, den)
     table.validate()
     return table
 
@@ -238,13 +327,12 @@ def log2_expected_bipartitions(params: EnsembleParams, s: int,
 def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:
     """CSV rows ``s,m1,A_num,A_den`` (exact integers) under a header line."""
     lines = ["s,m1,A_num,A_den"]
-    n, m = table.params.n, table.params.m
-    for s in range(n + 1):
-        for m1 in range(m + 1):
-            val = table.cells[(s, m1)]
-            if suppress_zeros and val == 0:
+    for s, row in enumerate(table.num):
+        for m1, (a, b) in enumerate(zip(row, table.den)):
+            if suppress_zeros and a == 0:
                 continue
-            lines.append(f"{s},{m1},{val.numerator},{val.denominator}")
+            g = math.gcd(a, b)
+            lines.append(f"{s},{m1},{a // g},{b // g}")
     return "\n".join(lines) + "\n"
 
 

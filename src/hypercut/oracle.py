@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +45,17 @@ def exact_ensemble_average(params: EnsembleParams,
                            cap: int = DEFAULT_ENUM_CAP) -> CutsizeTable:
     """Average ``count_bipartitions`` over all xi! socket permutations.
 
-    Exact rational table on the full (s, m1) grid; the structural
-    identities are verified on construction.
+    Exact table on the full (s, m1) grid, integer totals over xi!; the
+    structural identities are verified on construction.
     """
     totals: dict[tuple[int, int], int] = {}
     for h in enumerate_all(params, cap=cap):
         for key, c in count_bipartitions(h, cap=cap).items():
             totals[key] = totals.get(key, 0) + c
     fact = math.factorial(params.xi)
-    cells = {(s, m1): Fraction(totals.get((s, m1), 0), fact)
-             for s in range(params.n + 1) for m1 in range(params.m + 1)}
-    table = CutsizeTable(params, cells)
+    num = [[totals.get((s, m1), 0) for m1 in range(params.m + 1)]
+           for s in range(params.n + 1)]
+    table = CutsizeTable(params, num, [fact] * (params.m + 1))
     table.validate()
     return table
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercut import exact_distribution
 from hypercut.core import CapExceeded
 from hypercut.ensemble import validate
 from hypercut.exact_distribution import (CutsizeTable,
@@ -15,7 +16,9 @@ from hypercut.exact_distribution import (CutsizeTable,
                                          expected_balanced_bipartitions,
                                          expected_bipartitions,
                                          log2_expected_bipartitions,
-                                         write_balanced_csv, write_table_csv)
+                                         table_csv_text, write_balanced_csv,
+                                         write_table_csv)
+from hypercut.oracle import exact_ensemble_average
 
 
 # ---------------------------------------------------------------- oracles
@@ -137,9 +140,20 @@ class TestCutsizeTable:
                 assert table.value(s, m1) == expected_bipartitions(params, s, m1)
                 assert table.value(s, m1) == table.value(s, params.m - m1)
 
+    def test_out_of_range_cell_is_key_error(self):
+        table = cutsize_table(validate(4, 2, 4))  # n = 4, m = 2
+        for s, m1 in ((-1, 0), (0, -1), (5, 0), (0, 3)):
+            with pytest.raises(KeyError):
+                table.value(s, m1)
+        for m1 in (-1, 3):
+            with pytest.raises(KeyError):
+                table.row_sum(m1)
+
     def test_budget_guard(self):
         with pytest.raises(CapExceeded):
             cutsize_table(validate(4, 2, 4), max_n=3)
+        with pytest.raises(CapExceeded, match="budget 1000"):
+            cutsize_table(validate(1001, 2, 2))  # the default max_n
 
     @pytest.mark.parametrize("n, gamma, delta, digest", [
         (60, 2, 4,
@@ -154,12 +168,94 @@ class TestCutsizeTable:
         write_table_csv(cutsize_table(validate(n, gamma, delta)), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, gamma, delta, digest", [
+        (60, 2, 4,
+         "934ab8b7e85fee6deaac2e74585f40d1ed03e8380f1d6695fb6e6aa854142475"),
+        (48, 3, 6,
+         "2eef7dfcfdcb34ea8a9a2014f5b57cf0502694ffa68967b83f95106984b20000"),
+    ])
+    def test_golden_balanced_csv_digest(self, tmp_path, n, gamma, delta,
+                                        digest):
+        out = tmp_path / "b.csv"
+        write_balanced_csv(cutsize_table(validate(n, gamma, delta)),
+                           Fraction(1, 10), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _bumped(params, *bumps):
+        """The formula table with num[s][m1] += k for each (s, m1, k)."""
+        table = cutsize_table(params)
+        num = [list(row) for row in table.num]
+        for s, m1, k in bumps:
+            num[s][m1] += k
+        return CutsizeTable(params, num, list(table.den))
+
     def test_validate_catches_corruption(self):
         params = validate(4, 2, 4)
-        cells = dict(cutsize_table(params).cells)
-        cells[(0, 1)] += 1
+        den = cutsize_table(params).den
         with pytest.raises(AssertionError):
-            CutsizeTable(params, cells).validate()
+            self._bumped(params, (0, 1, den[1])).validate()  # cell + 1
+
+    def test_validate_row_sum_only(self):
+        # A bump at (s, m1) and (s, m - m1) keeps support and symmetry, so
+        # only the row sums see it.
+        params = validate(6, 2, 3)  # m = 4
+        den = cutsize_table(params).den
+        table = self._bumped(params, (2, 1, den[1]), (2, 3, den[3]))
+        with pytest.raises(AssertionError, match="row sum at m1=1"):
+            table.validate()
+
+    def test_validate_symmetry(self):
+        params = validate(6, 2, 3)
+        den = cutsize_table(params).den
+        with pytest.raises(AssertionError,
+                           match=r"symmetry broken at \(2, 1\)"):
+            self._bumped(params, (2, 1, den[1])).validate()
+
+    def test_validate_support(self):
+        # No net can be cut when a part is empty (m1 = 0 or m), so s = 1
+        # lies outside the support there.
+        params = validate(4, 2, 4)
+        with pytest.raises(AssertionError,
+                           match=r"support violated at \(1, 0\)"):
+            self._bumped(params, (1, 0, 1), (1, 2, 1)).validate()
+
+    def test_validate_negative(self):
+        params = validate(4, 2, 4)  # cell (1, 1) is zero
+        with pytest.raises(AssertionError, match=r"negative cell at \(1, 1\)"):
+            self._bumped(params, (1, 1, -1)).validate()
+
+    def test_column_denominators_need_not_agree(self):
+        # Column 1 of E(6, 2, 3) over 3 * C(12, 3): the same rationals, so
+        # validate, the cells, the CSV and the cross-multiplied comparison
+        # all see the table unchanged, and == compares values; then break it.
+        params = validate(6, 2, 3)
+        table = cutsize_table(params)
+        num = [[a * 3 if m1 == 1 else a for m1, a in enumerate(row)]
+               for row in table.num]
+        den = [b * 3 if m1 == 1 else b for m1, b in enumerate(table.den)]
+        scaled = CutsizeTable(params, num, den)
+        scaled.validate()
+        assert scaled.cells == table.cells
+        assert scaled == table and table == scaled
+        assert table_csv_text(scaled) == table_csv_text(table)
+        num[2][1] += 1
+        broken = CutsizeTable(params, num, den)
+        assert broken != table
+        with pytest.raises(AssertionError, match="symmetry broken"):
+            broken.validate()
+
+    def test_builds_and_validates_without_fractions(self, monkeypatch):
+        def no_fraction(*args, **kwargs):
+            raise RuntimeError("Fraction built")
+
+        small = validate(4, 2, 4)
+        monkeypatch.setattr(exact_distribution, "Fraction", no_fraction)
+        table = cutsize_table(validate(60, 2, 4))
+        table.validate()
+        assert exact_ensemble_average(small) == cutsize_table(small)
+        monkeypatch.undo()
+        assert table.total() == 2 ** table.params.m
 
 
 class TestBalanced:
