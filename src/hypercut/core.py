@@ -6,8 +6,9 @@ Partition quality is the cutsize: the number of nets touching two or more
 parts.  A matrix admits a row/column permutation into K nonsingular diagonal
 blocks (one per part, enabling K-way parallel back-substitution) only if some
 eps-balanced K-way partition has cutsize at most n - m; the checkers here
-decide per-partition feasibility exactly over GF(2) and search small
-instances exhaustively.
+decide per-partition feasibility exactly over GF(2) and find the minimum
+cutsize of small instances exactly, by a branch-and-bound search over
+balanced labelings.
 
 Nets are stored socket-level as multisets (the configuration model produces
 multigraphs); every connection test uses the support.  Partitions are
@@ -17,11 +18,11 @@ are exact rational arithmetic, never floating point.
 Supports and parts are vertex bitmasks: one cut test (``_cut``) and one GF(2)
 eliminator (``_gf2_basis``) serve every caller, and one scan over K
 (``_min_cut_scan``) serves ``max_parallel_degree`` and ``hypercut check``.
+The minimum-cut search keeps its cut incrementally, as a bitmask of nets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,10 +372,20 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
                            cap: int = DEFAULT_ENUM_CAP) -> tuple[int, Partition]:
     """Exact minimum cutsize over eps-balanced ``parts``-way partitions.
 
-    Enumerates all parts^m labeled assignments, so it is only usable at
-    desk scale; guarded by ``cap``.  Returns the minimum and one argmin;
-    raises ValueError before enumerating when no eps-balanced partition
-    exists (parts * max part size < m).
+    A depth-first branch and bound over restricted-growth label strings
+    (Knuth, TAOCP 4A, 7.2.1.5): vertices are labeled in order, labels are
+    tried in increasing order, and a vertex's label is at most one more than
+    the largest label before it.  A branch ends when a part would outgrow
+    the balance limit, when its empty parts outnumber its unplaced vertices,
+    or when the nets it already cuts reach the best cut found so far; the
+    search ends at a cut of 0.  Relabeling parts changes neither balance nor
+    cut, so the first minimiser in ``itertools.product`` order is its own
+    restricted-growth form; that labeling is the argmin returned.
+
+    Still exponential, so it is only usable at desk scale; ``cap`` gates the
+    nominal parts^m assignments, not the labelings visited.  Raises
+    ValueError before searching when no eps-balanced partition exists
+    (parts * max part size < m).
     """
     m = h.vertex_count
     if parts < 1:
@@ -389,19 +400,53 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
         raise ValueError(f"no {epsilon}-balanced partition into {parts} "
                          f"non-empty parts exists for {m} vertices")
 
-    net_masks = h.support_masks
-    best: tuple[int, tuple[int, ...]] | None = None
-    for labels in itertools.product(range(1, parts + 1), repeat=m):
-        masks = _masks(labels, parts)
-        sizes = list(map(int.bit_count, masks))
-        if min(sizes) == 0 or max(sizes) > limit:
+    # Net j is cut once a vertex of its support takes a part other than the
+    # one its first vertex opened it in.  Per vertex, as net bitmasks: the
+    # nets it opens, and the nets it joins after their first vertex.
+    opens = [0] * m
+    joins = [0] * m
+    for j, sup in enumerate(h.supports):
+        first = min(sup)
+        opens[first] |= 1 << j
+        for v in sup - {first}:
+            joins[v] |= 1 << j
+    opened = [0] * (parts + 1)  # nets opened in each part
+    sizes = [0] * (parts + 1)
+    labels = [0] * m            # 0: not placed
+    cuts = [0] * (m + 1)        # cuts[v]: nets cut by labels[:v]
+    tops = [0] * (m + 1)        # tops[v]: largest label in labels[:v]
+    best_cut, best = h.net_count + 1, None
+    v = 0
+    while v >= 0:
+        lab = labels[v]
+        if lab:  # take vertex v out of its part before trying the next one
+            sizes[lab] -= 1
+            opened[lab] ^= opens[v]
+        top = tops[v]
+        # When the empty parts match the unplaced vertices, v opens a part.
+        lab = max(lab + 1, top + 1 if parts - top == m - v else 1)
+        while lab <= top + 1 and lab <= parts:
+            if sizes[lab] < limit:
+                cut = cuts[v] | (joins[v] & ~opened[lab])
+                if cut.bit_count() < best_cut:
+                    break
+            lab += 1
+        else:
+            labels[v] = 0
+            v -= 1
             continue
-        cut = _cut(net_masks, masks)
-        if best is None or cut < best[0]:
-            best = (cut, labels)
-            if cut == 0:
-                break
-    return best[0], Partition(best[1], parts)
+        labels[v] = lab
+        sizes[lab] += 1
+        opened[lab] |= opens[v]
+        if v + 1 < m:
+            cuts[v + 1] = cut
+            tops[v + 1] = max(top, lab)
+            v += 1
+            continue
+        best_cut, best = cut.bit_count(), tuple(labels)
+        if best_cut == 0:
+            break
+    return best_cut, Partition(best, parts)
 
 
 def _nonempty_nets(mat: BinaryMatrix) -> Hypergraph:

@@ -3,17 +3,20 @@
 Counts bipartitions of concrete instances by enumerating all 2^m labeled
 vertex assignments, averages those counts over every socket permutation of
 an ensemble (exactly, in rationals), and estimates the same table by Monte
-Carlo with standard errors.  The exhaustive average must equal the
-generating-function table cell for cell; that equality is the main
-correctness gate for both sides.
+Carlo with standard errors.  Both averages count each distinct multiset of
+nets once and weight it by its multiplicity.  The exhaustive average must
+equal the generating-function table cell for cell; that equality is the
+main correctness gate for both sides.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +44,25 @@ def count_bipartitions(h: Hypergraph,
     return counts
 
 
+def _class_sums(instances: Iterable[Hypergraph], m: int, cap: int
+                ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Sums of the counts and of their squares, per (cutsize, |U1|) cell,
+    over a stream of instances on m vertices.
+
+    The counts depend only on the multiset of an instance's nets, so
+    ``count_bipartitions`` runs once per distinct multiset and its counts
+    are weighted by how often the multiset occurs.
+    """
+    classes = Counter(tuple(sorted(h.nets)) for h in instances)
+    sums: dict[tuple[int, int], int] = {}
+    sumsq: dict[tuple[int, int], int] = {}
+    for nets, mult in classes.items():
+        for key, c in count_bipartitions(Hypergraph(m, nets), cap=cap).items():
+            sums[key] = sums.get(key, 0) + mult * c
+            sumsq[key] = sumsq.get(key, 0) + mult * c * c
+    return sums, sumsq
+
+
 def exact_ensemble_average(params: EnsembleParams,
                            cap: int = DEFAULT_ENUM_CAP) -> CutsizeTable:
     """Average ``count_bipartitions`` over all xi! socket permutations.
@@ -48,10 +70,7 @@ def exact_ensemble_average(params: EnsembleParams,
     Exact table on the full (s, m1) grid, integer totals over xi!; the
     structural identities are verified on construction.
     """
-    totals: dict[tuple[int, int], int] = {}
-    for h in enumerate_all(params, cap=cap):
-        for key, c in count_bipartitions(h, cap=cap).items():
-            totals[key] = totals.get(key, 0) + c
+    totals, _ = _class_sums(enumerate_all(params, cap=cap), params.m, cap)
     fact = math.factorial(params.xi)
     num = [[totals.get((s, m1), 0) for m1 in range(params.m + 1)]
            for s in range(params.n + 1)]
@@ -84,13 +103,8 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
     if 1 << params.m > cap:
         raise CapExceeded(f"2^{params.m} assignments exceed cap {cap}")
     rng = random.Random(seed)
-    sums: dict[tuple[int, int], int] = {}
-    sumsq: dict[tuple[int, int], int] = {}
-    for _ in range(samples):
-        h = sample_with_rng(params, rng)
-        for key, c in count_bipartitions(h, cap=cap).items():
-            sums[key] = sums.get(key, 0) + c
-            sumsq[key] = sumsq.get(key, 0) + c * c
+    sums, sumsq = _class_sums((sample_with_rng(params, rng)
+                               for _ in range(samples)), params.m, cap)
 
     mean = np.zeros((params.n + 1, params.m + 1))
     stderr = np.zeros((params.n + 1, params.m + 1))

@@ -1,11 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercut import core
 from hypercut.core import (BinaryMatrix, CapExceeded, EncodabilityVerdict,
                            Hypergraph, Partition, as_ratio,
                            check_block_diagonalizable, cutsize, gf2_rank, hypergraph_from_matrix, is_balanced,
@@ -269,7 +269,9 @@ class TestBlockDiagonalizable:
 
 
 def _min_cut_by_filtered_enumeration(h, k, epsilon):
-    """Independent oracle: scan every labeling, filter, take the minimum."""
+    """Independent oracle: scan every labeling in ``itertools.product``
+    order, filter, and keep the first minimum.  Returns (cut, labels), or
+    None when no labeling passes the filter."""
     best = None
     limit = Fraction(h.vertex_count, k) * (1 + as_ratio(epsilon))
     for labels in itertools.product(range(1, k + 1), repeat=h.vertex_count):
@@ -278,7 +280,8 @@ def _min_cut_by_filtered_enumeration(h, k, epsilon):
             continue
         cut = sum(1 for sup in h.supports
                   if len({labels[v] for v in sup}) > 1)
-        best = cut if best is None else min(best, cut)
+        if best is None or cut < best[0]:
+            best = (cut, labels)
     return best
 
 
@@ -307,9 +310,30 @@ class TestMinCutsizeBruteforce:
             for seed in range(5):
                 h = sample(params, seed)
                 got, argmin = min_cutsize_bruteforce(h, 2, 0)
-                assert got == _min_cut_by_filtered_enumeration(h, 2, 0), name
+                assert (got, argmin.labels) == \
+                    _min_cut_by_filtered_enumeration(h, 2, 0), name
                 assert cutsize(h, argmin) == got
                 assert is_balanced(argmin, 0)
+
+    @given(st.integers(1, 8).flatmap(lambda m: st.lists(
+               st.lists(st.integers(0, m - 1), min_size=1, max_size=4),
+               min_size=1, max_size=8).map(lambda nets: Hypergraph(m, nets))),
+           st.integers(1, 4), st.sampled_from((0, "1/3", "1/2", 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_product_order_reference(self, h, k, eps):
+        # Same cut and the same first argmin in itertools.product order,
+        # or the same refusal when no balanced labeling exists.
+        expected = _min_cut_by_filtered_enumeration(h, k, eps)
+        if expected is None:
+            m = h.vertex_count
+            balanced = "" if k > m else f"{eps}-balanced "
+            message = (f"no {balanced}partition into {k} non-empty parts "
+                       f"exists for {m} vertices")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                min_cutsize_bruteforce(h, k, eps)
+        else:
+            cut, argmin = min_cutsize_bruteforce(h, k, eps)
+            assert (cut, argmin.labels) == expected
 
     def test_no_balanced_partition_exists(self):
         h = Hypergraph(5, ((0, 1, 2, 3, 4),))
@@ -319,12 +343,12 @@ class TestMinCutsizeBruteforce:
     def test_no_balanced_partition_raises_before_enumerating(self,
                                                              monkeypatch):
         # 4 parts of at most floor(10/4) = 2 vertices cannot hold 10; the
-        # 4^10 assignments are never visited
-        def no_enumeration(labels, parts):
-            raise AssertionError("enumerated assignments")
+        # search, which starts by reading the net supports, never begins
+        def no_enumeration(h):
+            raise AssertionError("started the search")
 
-        monkeypatch.setattr(core, "_masks", no_enumeration)
         ring = Hypergraph(10, tuple((i, (i + 1) % 10) for i in range(10)))
+        monkeypatch.setattr(Hypergraph, "supports", property(no_enumeration))
         with pytest.raises(ValueError, match="balanced"):
             min_cutsize_bruteforce(ring, 4, 0)
 

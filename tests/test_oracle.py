@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -7,11 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercut import oracle
 from hypercut.core import CapExceeded, Hypergraph, Partition, cutsize
-from hypercut.ensemble import enumerate_all, sample, validate
+from hypercut.ensemble import enumerate_all, sample, sample_with_rng, validate
 from hypercut.exact_distribution import cutsize_table
 from hypercut.oracle import (count_bipartitions, exact_ensemble_average,
                              monte_carlo_average, write_estimate_csv)
+
+
+def _count_calls(monkeypatch) -> list:
+    """Record every instance ``oracle.count_bipartitions`` is called on."""
+    calls = []
+    original = oracle.count_bipartitions
+
+    def counted(h, *args, **kwargs):
+        calls.append(h)
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "count_bipartitions", counted)
+    return calls
 
 
 class TestCountBipartitions:
@@ -85,16 +100,26 @@ class TestExactEnsembleAverage:
             exact_ensemble_average(p)
 
     def test_average_is_rational_mean_of_instances(self):
-        p = validate(2, 2, 2)
-        totals = {}
-        graphs = 0
-        for h in enumerate_all(p):
-            graphs += 1
-            for key, c in count_bipartitions(h).items():
-                totals[key] = totals.get(key, 0) + c
-        table = exact_ensemble_average(p)
-        for key, tot in totals.items():
-            assert table.value(*key) == Fraction(tot, graphs)
+        # One count per permutation, summed, against every cell.
+        for p in (validate(2, 2, 2), validate(3, 2, 3), validate(4, 2, 4)):
+            totals = {}
+            graphs = 0
+            for h in enumerate_all(p):
+                graphs += 1
+                for key, c in count_bipartitions(h).items():
+                    totals[key] = totals.get(key, 0) + c
+            table = exact_ensemble_average(p)
+            for s in range(p.n + 1):
+                for m1 in range(p.m + 1):
+                    assert table.value(s, m1) == \
+                        Fraction(totals.get((s, m1), 0), graphs)
+
+    def test_counts_once_per_class(self, monkeypatch):
+        p = validate(4, 2, 4)
+        calls = _count_calls(monkeypatch)
+        exact_ensemble_average(p)
+        classes = {tuple(sorted(h.nets)) for h in enumerate_all(p)}
+        assert len(calls) == len(classes) < math.factorial(p.xi)
 
 
 class TestMonteCarlo:
@@ -137,6 +162,33 @@ class TestMonteCarlo:
         est = monte_carlo_average(p, 200, seed=0)
         assert est.mean[0, 0] == 1 and est.stderr[0, 0] == 0
         assert est.mean[0, 2] == 1 and est.stderr[0, 2] == 0
+
+    def test_equals_per_sample_accumulation(self):
+        p = validate(8, 2, 4)
+        rng = random.Random(7)
+        sums, sumsq = {}, {}
+        for _ in range(300):
+            for key, c in count_bipartitions(sample_with_rng(p, rng)).items():
+                sums[key] = sums.get(key, 0) + c
+                sumsq[key] = sumsq.get(key, 0) + c * c
+        est = monte_carlo_average(p, 300, seed=7)
+        for s in range(p.n + 1):
+            for m1 in range(p.m + 1):
+                tot = sums.get((s, m1), 0)
+                var_num = 300 * sumsq.get((s, m1), 0) - tot * tot
+                assert est.mean[s, m1] == tot / 300
+                assert est.stderr[s, m1] == \
+                    math.sqrt(var_num) / (300 * math.sqrt(299))
+
+    def test_counts_once_per_class(self, monkeypatch):
+        p = validate(8, 2, 4)
+        calls = _count_calls(monkeypatch)
+        monte_carlo_average(p, 300, seed=7)
+        rng = random.Random(7)
+        classes = {tuple(sorted(sample_with_rng(p, rng).nets))
+                   for _ in range(300)}
+        assert len(calls) == len(classes) < 300
+        assert {tuple(sorted(h.nets)) for h in calls} == classes
 
     def test_csv(self, tmp_path):
         est = monte_carlo_average(validate(4, 2, 4), 100, seed=5)
