@@ -47,6 +47,8 @@ _MU1_TOL = 1e-8
 _SLOPE_TOL = 1e-12
 #: Spacing of the sigma grid scanned for the first positive balanced rate.
 _SIGMA_STEP = 1e-3
+#: Width of the sigma bracket at which the root bisection stops.
+_SIGMA_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -346,14 +348,13 @@ def peak_growth(mu1: float, ensemble) -> float:
     return gamma / delta * binary_entropy(mu1)
 
 
-def typical_min_cutsize(epsilon: float, ensemble, *,
-                        tol: float = 1e-10) -> float:
+def typical_min_cutsize(epsilon: float, ensemble) -> float:
     """Smallest relative cutsize where the balanced rate turns positive.
 
     Balanced bipartitions with smaller relative cutsize are exponentially
     rare.  The rate is scanned on a ``_SIGMA_STEP`` grid up to its peak,
-    taking the first crossing from below, then bisected to a ``tol``-wide
-    interval.  Needs gamma >= 2, delta >= 3 (the regime where the rate
+    taking the first crossing from below, then bisected to a width of
+    ``_SIGMA_TOL``.  Needs gamma >= 2, delta >= 3 (the regime where the rate
     starts <= 0 and the peak is positive, so a root exists); a scan without
     a sign change raises RuntimeError carrying the scanned (sigma, rate)
     pairs as ``.grid``.
@@ -384,7 +385,7 @@ def typical_min_cutsize(epsilon: float, ensemble, *,
         prev = sigma
         sigma += _SIGMA_STEP
     lo, hi = prev, sigma
-    while hi - lo > tol:
+    while hi - lo > _SIGMA_TOL:
         mid = 0.5 * (lo + hi)
         if rate(mid) > 0.0:
             hi = mid
@@ -393,8 +394,7 @@ def typical_min_cutsize(epsilon: float, ensemble, *,
     return 0.5 * (lo + hi)
 
 
-def verdict(ensemble, epsilon: float = 0.0, *,
-            tol: float = 1e-10) -> VerdictRow:
+def verdict(ensemble, epsilon: float = 0.0) -> VerdictRow:
     """Necessary condition for 2-way parallel encodability, typically.
 
     Compares the design rate 1 - gamma/delta against the typical minimum
@@ -404,7 +404,7 @@ def verdict(ensemble, epsilon: float = 0.0, *,
     """
     gamma, delta = _degrees(ensemble)
     design_rate = 1.0 - gamma / delta
-    beta = typical_min_cutsize(epsilon, (gamma, delta), tol=tol)
+    beta = typical_min_cutsize(epsilon, (gamma, delta))
     margin = design_rate - beta
     return VerdictRow(gamma, delta, design_rate, beta, margin >= 0, margin)
 

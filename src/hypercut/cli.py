@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import asymptotics, exact_distribution, oracle
 from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan,
-                   _nonempty_nets, check_block_diagonalizable, is_balanced,
-                   matrix_from_hypergraph)
+                   check_block_diagonalizable, matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import alist_text, read_alist, read_partition, write_alist
 
@@ -104,11 +103,8 @@ def cmd_growth(args) -> int:
 def cmd_tables(args) -> int:
     gammas = [int(x) for x in args.gamma.split(",")]
     deltas = [int(x) for x in args.delta.split(",")]
-    rows = []
-    for g in gammas:
-        for d in deltas:
-            rows.append(asymptotics.verdict((g, d), args.epsilon,
-                                            tol=args.tol))
+    rows = [asymptotics.verdict((g, d), args.epsilon)
+            for g in gammas for d in deltas]
     print("gamma delta design_rate beta_star satisfied margin")
     for r in rows:
         print(f"{r.gamma:5d} {r.delta:5d} {r.design_rate:11.4f} "
@@ -147,8 +143,8 @@ def cmd_check(args) -> int:
 
     print(f"matrix: {m} rows x {n} cols, partition: K={part.k}, "
           f"sizes {part.part_sizes()}")
-    print(f"balanced (eps={eps}): {'yes' if is_balanced(part, eps) else 'no'}")
     v = check_block_diagonalizable(mat, part, eps)
+    print(f"balanced (eps={eps}): {'yes' if v.balanced else 'no'}")
     print(f"cutsize: {v.cutsize}")
     print("per-part (size, exclusive-column rank): "
           + ", ".join(f"({s}, {r})" for s, r in v.per_part_rank))
@@ -161,7 +157,7 @@ def cmd_check(args) -> int:
     # One scan over K serves both the partition's own K and the max degree.
     kmax, k = 1, 0
     try:
-        for k, mincut in _min_cut_scan(_nonempty_nets(mat), eps, args.cap):
+        for k, mincut, kmax in _min_cut_scan(mat, eps, args.cap):
             if k == part.k:
                 if mincut is None:
                     raise ValueError(f"no {eps}-balanced partition into {k} "
@@ -171,8 +167,6 @@ def cmd_check(args) -> int:
                 print(f"necessary condition n - m >= min cutsize: "
                       f"{n} - {m} = {n - m} vs {mincut} -> "
                       f"{'SATISFIED' if n - m >= mincut else 'NOT SATISFIED'}")
-            if mincut is not None and n - m >= mincut:
-                kmax = k
     except CapExceeded as exc:
         print(f"brute force stopped at K = {k + 1}: {exc}")
         print(f"max parallel degree over K <= {k}: {kmax}")
@@ -258,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated delta values")
     p.add_argument("-e", "--epsilon", type=float, default=0.0)
     p.add_argument("-o", "--out", help="verdict CSV path")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="root isolation tolerance")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("sample", help="sample one instance to alist")

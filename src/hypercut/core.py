@@ -221,11 +221,17 @@ def hypergraph_from_matrix(mat: BinaryMatrix) -> Hypergraph:
 
     Rejects empty columns (nets must be non-empty).
     """
-    sups = mat.column_supports()
-    for j, sup in enumerate(sups):
+    for j, sup in enumerate(mat.column_supports()):
         if not sup:
             raise ValueError(f"column {j} is empty; nets must be non-empty")
-    return Hypergraph(mat.rows, tuple(tuple(sorted(s)) for s in sups))
+    return _nonempty_nets(mat)
+
+
+def _nonempty_nets(mat: BinaryMatrix) -> Hypergraph:
+    """Hypergraph of the non-empty columns of ``mat``.  An empty net is never
+    cut, so every cutsize equals that of the whole matrix."""
+    return Hypergraph(mat.rows, tuple(sup for sup in mat.column_supports()
+                                      if sup))
 
 
 def matrix_from_hypergraph(h: Hypergraph) -> BinaryMatrix:
@@ -262,7 +268,7 @@ def tanner_to_hypergraph(variable_degrees: Sequence[int],
         if check_seen[i] != check_degrees[i]:
             raise ValueError(f"check {i}: {check_seen[i]} edges but "
                              f"degree {check_degrees[i]} declared")
-    return Hypergraph(m, tuple(tuple(sorted(net)) for net in nets))
+    return Hypergraph(m, tuple(nets))
 
 
 def _masks(labels: Sequence[int], parts: int) -> list[int]:
@@ -449,26 +455,25 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     return best_cut, Partition(best, parts)
 
 
-def _nonempty_nets(mat: BinaryMatrix) -> Hypergraph:
-    """Hypergraph of the non-empty columns of ``mat``.  An empty net is never
-    cut, so every cutsize equals that of the whole matrix."""
-    return Hypergraph(mat.rows, tuple(tuple(sup) for sup in
-                                      mat.column_supports() if sup))
-
-
-def _min_cut_scan(h: Hypergraph, epsilon,
-                  cap: int) -> Iterator[tuple[int, int | None]]:
-    """Yield (K, min cutsize over eps-balanced K-way partitions, or None if
-    there is none) for K = 1..m.  Raises ``CapExceeded`` at the first K
-    whose K^m assignments exceed ``cap``, as every later K would too."""
-    for k in range(1, h.vertex_count + 1):
+def _min_cut_scan(mat: BinaryMatrix, epsilon, cap: int
+                  ) -> Iterator[tuple[int, int | None, int]]:
+    """Yield (K, min cutsize over eps-balanced K-way partitions or None if
+    there is none, largest K' <= K with n - m >= min cutsize, or 1) for
+    K = 1..m.  Raises ``CapExceeded`` at the first K whose K^m assignments
+    exceed ``cap``, as every later K would too."""
+    h = _nonempty_nets(mat)
+    slack = mat.cols - mat.rows
+    best = 1
+    for k in range(1, mat.rows + 1):
         try:
             mincut = min_cutsize_bruteforce(h, k, epsilon, cap=cap)[0]
         except CapExceeded:  # a ValueError too, but it ends the scan
             raise
         except ValueError:
             mincut = None
-        yield k, mincut
+        if mincut is not None and slack >= mincut:
+            best = k
+        yield k, mincut, best
 
 
 def max_parallel_degree(mat: BinaryMatrix, epsilon,
@@ -479,9 +484,5 @@ def max_parallel_degree(mat: BinaryMatrix, epsilon,
     existence of a balanced partition is not monotone in K (odd m with
     eps = 0 has no balanced bipartition but a balanced m-way partition).
     """
-    slack = mat.cols - mat.rows
-    best = 1
-    for k, mincut in _min_cut_scan(_nonempty_nets(mat), epsilon, cap):
-        if mincut is not None and slack >= mincut:
-            best = k
-    return best
+    return max((best for _, _, best in _min_cut_scan(mat, epsilon, cap)),
+               default=1)

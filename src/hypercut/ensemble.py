@@ -61,14 +61,13 @@ def validate(n: int, gamma: int, delta: int) -> EnsembleParams:
     return EnsembleParams(n, gamma, delta, (gamma * n) // delta, gamma * n)
 
 
-def _nets_from_socket_permutation(params: EnsembleParams,
-                                  perm) -> tuple[tuple[int, ...], ...]:
-    # Net socket i (owned by net i // gamma) joins vertex socket perm[i]
-    # (owned by vertex perm[i] // delta).
+def _instance(params: EnsembleParams, perm) -> Hypergraph:
+    # Net socket i (owned by net i // gamma, so net j is the j-th gamma-long
+    # slice) joins vertex socket perm[i] (owned by vertex perm[i] // delta).
     g, d = params.gamma, params.delta
-    return tuple(
-        tuple(sorted(perm[i] // d for i in range(j * g, (j + 1) * g)))
-        for j in range(params.n))
+    owner = [s // d for s in perm]
+    return Hypergraph(params.m, tuple(owner[i:i + g]
+                                      for i in range(0, params.xi, g)))
 
 
 def hypergraph_from_socket_permutation(params: EnsembleParams,
@@ -76,7 +75,7 @@ def hypergraph_from_socket_permutation(params: EnsembleParams,
     """Instance determined by one permutation of the xi edge sockets."""
     if sorted(perm) != list(range(params.xi)):
         raise ValueError(f"not a permutation of 0..{params.xi - 1}")
-    return Hypergraph(params.m, _nets_from_socket_permutation(params, perm))
+    return _instance(params, perm)
 
 
 def sample(params: EnsembleParams, seed: int) -> Hypergraph:
@@ -92,7 +91,7 @@ def sample_with_rng(params: EnsembleParams, rng: random.Random) -> Hypergraph:
     """Like ``sample`` but advancing a caller-owned RNG stream."""
     perm = list(range(params.xi))
     rng.shuffle(perm)
-    return Hypergraph(params.m, _nets_from_socket_permutation(params, perm))
+    return _instance(params, perm)
 
 
 def enumerate_all(params: EnsembleParams, cap: int = DEFAULT_ENUM_CAP):
@@ -107,4 +106,4 @@ def enumerate_all(params: EnsembleParams, cap: int = DEFAULT_ENUM_CAP):
         raise CapExceeded(f"xi! = {params.xi}! = {total} permutations "
                           f"exceed cap {cap}")
     for perm in itertools.permutations(range(params.xi)):
-        yield Hypergraph(params.m, _nets_from_socket_permutation(params, perm))
+        yield _instance(params, perm)

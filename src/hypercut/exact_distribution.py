@@ -37,6 +37,7 @@ from .core import CapExceeded, _max_part_size, as_ratio
 from .ensemble import EnsembleParams
 
 _LN2 = math.log(2.0)
+_MAX_TABLE_N = 1000
 
 
 def _cut_powers(gamma: int) -> Iterator[list[int]]:
@@ -122,22 +123,28 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
     return _coeff(_cut_power(gamma, s), gamma, _binomial_row(n - s), k)
 
 
+def _cell_coeff(params: EnsembleParams, s: int, m1: int) -> int:
+    """Coefficient of cell (s, m1): 0 off its support, ValueError off grid."""
+    n, m, d = params.n, params.m, params.delta
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s={s}")
+    if not 0 <= m1 <= m:
+        raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
+    if s > d * m1 or s > d * (m - m1):
+        return 0
+    return constellation_coeff(params.gamma, s, n, d * m1)
+
+
 def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
     """Ensemble-average count of labeled bipartitions with cutsize s, |U1|=m1.
 
     Exact reduced rational.  Parts may be empty here (m1 in {0, m} is a
     legal index); balance filtering happens in the balanced variants.
     """
-    n, m, g, d = params.n, params.m, params.gamma, params.delta
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}")
-    if not 0 <= m1 <= m:
-        raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
-    if s > d * m1 or s > d * (m - m1):
-        return Fraction(0)
-    coef = constellation_coeff(g, s, n, d * m1)
+    coef = _cell_coeff(params, s, m1)
     if coef == 0:
         return Fraction(0)
+    n, m, d = params.n, params.m, params.delta
     return Fraction(math.comb(m, m1) * math.comb(n, s) * coef,
                     math.comb(d * m, d * m1))
 
@@ -261,7 +268,7 @@ class CutsizeTable:
             raise AssertionError("table total is not 2^m")
 
 
-def cutsize_table(params: EnsembleParams, max_n: int = 1000) -> CutsizeTable:
+def cutsize_table(params: EnsembleParams) -> CutsizeTable:
     """Exact table of avg(s, m1) for every cell; identities are verified.
 
     Walks the powers p^s once, builds one binomial row C(n-s, .) per s, and
@@ -276,12 +283,12 @@ def cutsize_table(params: EnsembleParams, max_n: int = 1000) -> CutsizeTable:
         (2, 4)           0.40 s     7.0 s,  72 MiB     69 s,  333 MiB
         (3, 6)           1.20 s     34 s,  157 MiB     704 s, 985 MiB
 
-    so the default ``max_n`` stops at n = 1000, where a (3, 6) table takes
+    so ``_MAX_TABLE_N`` stops at n = 1000, where a (3, 6) table takes
     about half a minute.
     """
-    if params.n > max_n:
+    if params.n > _MAX_TABLE_N:
         raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
-                          f"{max_n}")
+                          f"{_MAX_TABLE_N}")
     n, m, g, d = params.n, params.m, params.gamma, params.delta
     num = [_numerators(params, s, power, range(m + 1))
            for s, power in zip(range(n + 1), _cut_powers(g))]
@@ -314,12 +321,10 @@ def log2_expected_bipartitions(params: EnsembleParams, s: int,
     the support conditions fail or the coefficient vanishes.  Where both
     this and the exact path run, they agree to 1e-9 relative.
     """
-    n, m, g, d = params.n, params.m, params.gamma, params.delta
-    if s > d * m1 or s > d * (m - m1):
-        return float("-inf")
-    coef = constellation_coeff(g, s, n, d * m1)
+    coef = _cell_coeff(params, s, m1)
     if coef == 0:
         return float("-inf")
+    n, m, d = params.n, params.m, params.delta
     return (_log2_comb(m, m1) + _log2_comb(n, s) - _log2_comb(d * m, d * m1)
             + _log2_int(coef))
 

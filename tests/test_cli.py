@@ -99,9 +99,11 @@ class TestTables:
     def test_invalid_regime(self, capsys):
         assert run("tables", "-g", 1, "-d", 3) == 2
 
-    def test_tolerance_option(self, capsys):
-        assert run("tables", "-g", 2, "-d", 4, "--tol", 1e-6) == 0
-        assert "0.1100" in capsys.readouterr().out
+    def test_tol_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("tables", "-g", 2, "-d", 4, "--tol", 1e-6)
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_csv(self, tmp_path):
         out = tmp_path / "v.csv"

@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import math
+import random
 import warnings
 from collections import Counter
 
@@ -22,6 +25,15 @@ def valid_params(draw, max_edges=12):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return validate(n, gamma, delta)
+
+
+def _nets_by_formula(params, perm):
+    # Net socket i (of net i // gamma) joins vertex socket perm[i] (of
+    # vertex perm[i] // delta); each net is listed in sorted order.
+    g, d = params.gamma, params.delta
+    return tuple(
+        tuple(sorted(perm[i] // d for i in range(j * g, (j + 1) * g)))
+        for j in range(params.n))
 
 
 class TestValidate:
@@ -67,6 +79,14 @@ class TestSample:
         assert any(sample(p, 1).nets != sample(p, s).nets
                    for s in range(2, 30))
 
+    def test_seed_to_instance_mapping_is_pinned(self):
+        # The seed -> instance map that RNG_ALGORITHM promises: any change to
+        # the shuffle or to how sockets become nets changes this digest.
+        p = validate(8, 2, 4)
+        nets = [sample(p, seed).nets for seed in range(100)]
+        assert hashlib.sha256(repr(nets).encode()).hexdigest() == (
+            "a1183d711d4f321ada4df04553a1c8cbd2d9d750a1325ca5c8aad729bfc09212")
+
     @given(valid_params(), st.integers(0, 10_000))
     @settings(max_examples=60)
     def test_socket_conservation_property(self, params, seed):
@@ -107,6 +127,20 @@ class TestEnumerateAll:
         assert h.nets == ((0, 1), (0, 1))
         with pytest.raises(ValueError, match="permutation"):
             hypergraph_from_socket_permutation(p, (0, 0, 1, 2))
+
+    def test_nets_match_formula_for_every_permutation(self):
+        p = validate(3, 2, 3)
+        for perm in itertools.permutations(range(p.xi)):
+            assert (hypergraph_from_socket_permutation(p, perm).nets
+                    == _nets_by_formula(p, perm))
+
+    def test_nets_match_formula_for_random_permutations(self):
+        p = validate(12, 3, 6)
+        rng = random.Random(0)
+        for _ in range(200):
+            perm = rng.sample(range(p.xi), p.xi)
+            assert (hypergraph_from_socket_permutation(p, perm).nets
+                    == _nets_by_formula(p, perm))
 
 
 def test_sampler_matches_uniform_permutation_law():

@@ -150,10 +150,8 @@ class TestCutsizeTable:
                 table.row_sum(m1)
 
     def test_budget_guard(self):
-        with pytest.raises(CapExceeded):
-            cutsize_table(validate(4, 2, 4), max_n=3)
         with pytest.raises(CapExceeded, match="budget 1000"):
-            cutsize_table(validate(1001, 2, 2))  # the default max_n
+            cutsize_table(validate(1001, 2, 2))  # n = 1000 is the largest
 
     @pytest.mark.parametrize("n, gamma, delta, digest", [
         (60, 2, 4,
@@ -308,6 +306,21 @@ class TestLog2:
     def test_corner_is_zero(self):
         p = validate(4, 2, 4)
         assert log2_expected_bipartitions(p, 0, 0) == 0.0
+
+    @pytest.mark.parametrize("s, m1", [(0, -1), (0, 5), (9, 2)])
+    def test_out_of_range_index_raises_as_exact_path(self, s, m1):
+        p = validate(8, 2, 4)  # n = 8, m = 4
+        messages = []
+        for evaluate in (expected_bipartitions, log2_expected_bipartitions):
+            with pytest.raises(ValueError, match="need 0 <=") as exc:
+                evaluate(p, s, m1)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_in_range_cell_outside_support(self):
+        p = validate(8, 2, 4)
+        assert log2_expected_bipartitions(p, 5, 1) == float("-inf")
+        assert expected_bipartitions(p, 5, 1) == 0
 
     def test_agreement_with_exact_path(self):
         p = _params(12, 3, 4)
