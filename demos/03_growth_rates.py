@@ -10,8 +10,6 @@ the balanced rate turns positive is the typical minimum cutsize.
 import os
 from pathlib import Path
 
-import numpy as np
-
 from hypercut import (balanced_growth_rate, balanced_growth_rate_closed,
                       curve, growth_rate, log2_expected_bipartitions,
                       peak_growth, peak_sigma, typical_min_cutsize, validate,
@@ -45,7 +43,7 @@ assert growth_rate(0.9, 0.3, (2, 5)).value == float("-inf")
 # peaks at 1/2 for gamma = 2 and at 3/4 for gamma = 3, zero crossings
 # moving right as delta grows).
 
-grid = np.linspace(0.0, 1.0, 1001)
+grid = [i / 1000 for i in range(1001)]
 for gamma, deltas in ((2, range(3, 8)), (3, range(4, 9))):
     for delta in deltas:
         pts = curve((gamma, delta), 0.0, grid)

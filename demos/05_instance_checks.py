@@ -53,10 +53,11 @@ v = check_block_diagonalizable(mat, part, 0)
 print("per-part (size, exclusive rank):", v.per_part_rank)
 print("feasible:", v.feasible)
 if v.feasible:
-    dense = mat.to_dense()[list(v.row_order)][:, list(v.col_order)]
-    top_left = dense[:2, :2]
+    dense = mat.to_dense()
+    perm = [[dense[r][c] for c in v.col_order] for r in v.row_order]
+    top_left = [row[:2] for row in perm[:2]]
     assert gf2_rank(BinaryMatrix.from_dense(top_left)) == 2
-    assert not dense[2:, :2].any()
+    assert not any(any(row[:2]) for row in perm[2:])
     print("witness checks out: first diagonal block nonsingular, zeros below")
 
 # =============================================================================

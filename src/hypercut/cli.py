@@ -135,15 +135,12 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     mat = read_alist(args.alist)
     part = read_partition(args.partition, args.parts)
-    if part.size != mat.rows:
-        raise ValueError(f"partition covers {part.size} vertices but the "
-                         f"matrix has {mat.rows} rows")
     eps = _eps(args.epsilon)
     n, m = mat.cols, mat.rows
 
+    v = check_block_diagonalizable(mat, part, eps)
     print(f"matrix: {m} rows x {n} cols, partition: K={part.k}, "
           f"sizes {part.part_sizes()}")
-    v = check_block_diagonalizable(mat, part, eps)
     print(f"balanced (eps={eps}): {'yes' if v.balanced else 'no'}")
     print(f"cutsize: {v.cutsize}")
     print("per-part (size, exclusive-column rank): "

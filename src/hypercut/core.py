@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 #: Default ceiling on the number of enumerated items (assignments K^m,
 #: socket permutations xi!, ...) accepted by exhaustive routines.
 DEFAULT_ENUM_CAP = 1 << 24
@@ -79,13 +77,17 @@ class BinaryMatrix:
 
     @classmethod
     def from_dense(cls, array) -> "BinaryMatrix":
-        """Build from a dense 0/1 array (any nonzero counts as 1)."""
-        arr = np.asarray(array)
-        if arr.ndim != 2:
+        """Build from equal-length rows of 0/1 values (any nonzero counts as
+        1): nested lists, or anything that iterates like them."""
+        try:  # float() rejects an entry that is itself a sequence
+            rows = [[float(x) for x in row] for row in array]
+        except TypeError:
+            rows = None
+        if rows is None or len({len(row) for row in rows}) > 1:
             raise ValueError("dense input must be 2-dimensional")
-        rows, cols = (int(d) for d in arr.shape)
-        rr, cc = np.nonzero(arr)
-        return cls(rows, cols, frozenset(zip(rr.tolist(), cc.tolist())))
+        return cls(len(rows), len(rows[0]) if rows else 0,
+                   frozenset((r, c) for r, row in enumerate(rows)
+                             for c, x in enumerate(row) if x))
 
     @classmethod
     def from_columns(cls, column_supports: Sequence[Iterable[int]],
@@ -93,10 +95,10 @@ class BinaryMatrix:
         entries = {(r, j) for j, sup in enumerate(column_supports) for r in sup}
         return cls(rows, len(column_supports), frozenset(entries))
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
+    def to_dense(self) -> list[list[int]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for r, c in self.entries:
-            out[r, c] = 1
+            out[r][c] = 1
         return out
 
     def transpose(self) -> "BinaryMatrix":

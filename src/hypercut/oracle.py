@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
 from .ensemble import EnsembleParams, enumerate_all, sample_with_rng
 from .exact_distribution import CutsizeTable
@@ -86,8 +84,8 @@ class MonteCarloEstimate:
     params: EnsembleParams
     samples: int
     seed: int
-    mean: np.ndarray    # shape (n+1, m+1)
-    stderr: np.ndarray  # shape (n+1, m+1)
+    mean: dict[tuple[int, int], float]    # every (s, m1) cell, zero-filled
+    stderr: dict[tuple[int, int], float]  # keyed like ``mean``
 
 
 def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
@@ -106,24 +104,21 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
     sums, sumsq = _class_sums((sample_with_rng(params, rng)
                                for _ in range(samples)), params.m, cap)
 
-    mean = np.zeros((params.n + 1, params.m + 1))
-    stderr = np.zeros((params.n + 1, params.m + 1))
-    for (s, m1), tot in sums.items():
-        mean[s, m1] = tot / samples
-        if samples > 1:
-            # N*sum(x^2) - (sum x)^2 = N*(N-1)*sample variance, exact ints.
-            var_num = samples * sumsq[(s, m1)] - tot * tot
-            stderr[s, m1] = math.sqrt(var_num) / (samples *
-                                                  math.sqrt(samples - 1))
+    grid = [(s, m1) for s in range(params.n + 1)
+            for m1 in range(params.m + 1)]
+    mean = {key: sums.get(key, 0) / samples for key in grid}
+    # N*sum(x^2) - (sum x)^2 = N*(N-1)*sample variance, exact ints.
+    stderr = {key: math.sqrt(samples * sumsq.get(key, 0)
+                             - sums.get(key, 0) ** 2)
+              / (samples * math.sqrt(samples - 1)) if samples > 1 else 0.0
+              for key in grid}
     return MonteCarloEstimate(params, samples, seed, mean, stderr)
 
 
 def write_estimate_csv(est: MonteCarloEstimate, path: str | Path) -> int:
     """CSV rows ``s,m1,mean,stderr`` (floats, 10 significant digits)."""
-    lines = ["s,m1,mean,stderr"]
-    for s in range(est.params.n + 1):
-        for m1 in range(est.params.m + 1):
-            lines.append(f"{s},{m1},{est.mean[s, m1]:.10g},"
-                         f"{est.stderr[s, m1]:.10g}")
+    lines = ["s,m1,mean,stderr"] + [
+        f"{s},{m1},{mu:.10g},{est.stderr[s, m1]:.10g}"
+        for (s, m1), mu in est.mean.items()]
     Path(path).write_text("\n".join(lines) + "\n")
     return len(lines) - 1

@@ -1,4 +1,9 @@
-import numpy as np
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from hypercut import core
@@ -14,7 +19,8 @@ def run(*args):
 def _identity_instance(tmp_path, labels):
     """Identity matrix and a partition of its rows, written as check input."""
     alist, part = tmp_path / "id.alist", tmp_path / "p.txt"
-    write_alist(BinaryMatrix.from_dense(np.eye(len(labels), dtype=int)), alist)
+    k = len(labels)
+    write_alist(BinaryMatrix(k, k, frozenset((i, i) for i in range(k))), alist)
     write_partition(Partition(labels), part)
     return alist, part
 
@@ -218,6 +224,10 @@ class TestSampleAndCheck:
         write_alist(BinaryMatrix.from_dense([[1, 0], [0, 1]]), alist)
         part.write_text("1\n2\n1\n")
         assert run("check", "--alist", alist, "--partition", part) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension mismatch: partition covers 3 vertices, matrix has " \
+            "2 rows" in captured.err
 
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.alist"
@@ -254,3 +264,30 @@ def test_outdir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):
     assert run("growth", "-g", 2, "-d", 4, "--step", 0.5,
                "-o", "sub.csv") == 0
     assert (tmp_path / "sub.csv").exists()
+
+
+def test_runs_without_numpy(tmp_path):
+    # The child blocks the module: importing it raises ImportError.
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None
+        import hypercut
+        from hypercut.cli import main
+        assert main(["dist", "-n", "8", "-g", "2", "-d", "4", "-e", "0"]) == 0
+        assert main(["sample", "-n", "8", "-g", "2", "-d", "4",
+                     "-o", "s.alist"]) == 0
+        with open("p.txt", "w") as f:
+            f.write("1\\n1\\n2\\n2\\n")
+        assert main(["check", "--alist", "s.alist",
+                     "--partition", "p.txt"]) == 0
+        assert main(["oracle", "-n", "4", "-g", "2", "-d", "4", "--mode",
+                     "montecarlo", "--samples", "3000", "--seed", "11"]) == 0
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src,
+                                               os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "HYPERCUT_OUTDIR"}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(env, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

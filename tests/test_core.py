@@ -56,7 +56,21 @@ class TestBinaryMatrix:
     def test_dense_round_trip(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
         assert mat.rows == 2 and mat.cols == 3
+        assert mat.to_dense() == [[1, 1, 0], [0, 1, 1]]
         assert BinaryMatrix.from_dense(mat.to_dense()) == mat
+
+    @pytest.mark.parametrize("dense", [[[1, 0], [1]], [1, 0], [[[1, 0]]]],
+                             ids=["ragged", "one-dimensional",
+                                  "three-dimensional"])
+    def test_dense_rejects_non_matrix(self, dense):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            BinaryMatrix.from_dense(dense)
+
+    def test_dense_accepts_array(self):
+        np = pytest.importorskip("numpy")
+        rows = [[1, 0, 2], [0, 0, 1]]
+        assert BinaryMatrix.from_dense(np.array(rows)) == \
+            BinaryMatrix.from_dense(rows)
 
     def test_row_masks(self):
         mat = BinaryMatrix.from_dense([[1, 0, 1], [0, 1, 0]])
@@ -197,17 +211,18 @@ def _assert_witness_is_block_diagonal(mat, p, v):
     """The emitted (row, col) orders must expose K nonsingular diagonal
     blocks with zeros elsewhere in the first m columns."""
     dense = mat.to_dense()
-    perm = dense[list(v.row_order)][:, list(v.col_order)]
+    perm = [[dense[r][c] for c in v.col_order] for r in v.row_order]
     sizes = [len(p.members(part)) for part in range(1, p.k + 1)]
     r0 = 0
     for i, size in enumerate(sizes):
         c0 = sum(sizes[:i])
-        block = perm[r0:r0 + size, c0:c0 + size]
+        block = [row[c0:c0 + size] for row in perm[r0:r0 + size]]
         assert gf2_rank(BinaryMatrix.from_dense(block)) == size
         for j in range(p.k):
             if j != i:
                 cj = sum(sizes[:j])
-                assert not perm[r0:r0 + size, cj:cj + sizes[j]].any()
+                assert not any(any(row[cj:cj + sizes[j]])
+                               for row in perm[r0:r0 + size])
         r0 += size
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercut import oracle
+from hypercut.cli import main
 from hypercut.core import CapExceeded, Hypergraph, Partition, cutsize
 from hypercut.ensemble import enumerate_all, sample, sample_with_rng, validate
 from hypercut.exact_distribution import cutsize_table
@@ -131,12 +133,20 @@ class TestMonteCarlo:
         p = validate(4, 2, 4)
         a = monte_carlo_average(p, 500, seed=9)
         b = monte_carlo_average(p, 500, seed=9)
-        assert (a.mean == b.mean).all() and (a.stderr == b.stderr).all()
+        assert a.mean == b.mean and a.stderr == b.stderr
+
+    def test_cells_keyed_like_exact_table(self):
+        # zero-filled over the whole grid, in the table's (s, m1) order
+        p = validate(8, 2, 4)
+        est = monte_carlo_average(p, 5, seed=2)
+        cells = list(cutsize_table(p).cells)
+        assert list(est.mean) == list(est.stderr) == cells
+        assert est.mean[p.n, 0] == 0.0 and est.stderr[p.n, 0] == 0.0
 
     def test_single_sample_has_zero_stderr(self):
         p = validate(4, 2, 4)
         est = monte_carlo_average(p, 1, seed=3)
-        assert (est.stderr == 0).all()
+        assert set(est.stderr.values()) == {0.0}
         counts = count_bipartitions(sample(p, 3))
         for (s, m1), c in counts.items():
             assert est.mean[s, m1] == c
@@ -195,3 +205,17 @@ class TestMonteCarlo:
         out = tmp_path / "mc.csv"
         assert write_estimate_csv(est, out) == 15
         assert out.read_text().splitlines()[0] == "s,m1,mean,stderr"
+
+    def test_golden_csv_and_stdout_digests(self, tmp_path, capsys):
+        # Recorded at the bench job's parameters before the estimate moved
+        # from arrays to per-cell dicts; the bytes must not change.
+        out = tmp_path / "mc.csv"
+        write_estimate_csv(monte_carlo_average(validate(8, 2, 4), 20000,
+                                               seed=0), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5ac6ab029980f936ffcfb87624e1eb03726ecf709e92688e2cbd5e8ce04a8334")
+        assert main(["oracle", "-n", "8", "-g", "2", "-d", "4", "--mode",
+                     "montecarlo", "--samples", "20000", "--seed", "0"]) == 0
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "dcd8b62f45a7edbfe144a48c58101be487aecf43a635d20f84b279119f3ec788")
