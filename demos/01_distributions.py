@@ -63,7 +63,7 @@ print("odd m at eps = 0: balanced distribution is identically zero")
 
 # =============================================================================
 # Large ensembles: the log2 evaluator avoids building astronomic rationals
-# (binomials via log-gamma, the coefficient itself stays exact).
+# (it logs the exact cell's integer numerator and denominator).
 
 big = validate(400, 2, 4)
 rate = log2_expected_bipartitions(big, 80, big.m // 2) / big.n

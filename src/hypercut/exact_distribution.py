@@ -14,14 +14,13 @@ Every coefficient comes from one kernel.  ``_cut_powers`` walks the powers
 p^s by one multiplication with p each, and ``_coeff`` expands q^t by the
 binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k -
 gamma*r)).  A full table walks the powers once; a single cell walks them up
-to its s.  Everything here is exact: coefficients are arbitrary-precision
-integers.  Floats appear only in the log2 evaluator.
+to its s.  Coefficients are arbitrary-precision integers.
 
-A ``CutsizeTable`` holds integer numerators num[s][m1] over one denominator
-den[m1] per m1 column; for the formula table these are the three binomials
-and the coefficient above over C(delta*m, delta*m1).  Its identity checks
-run in integers.  A reduced ``Fraction`` (and its gcd) is built only when a
-cell, a sum over cells or a CSV row is asked for.
+Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
+delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
+identities in integers; the single-cell functions take the same integers.
+A reduced ``Fraction`` is built only when a cell, a sum over cells or a CSV
+row is asked for; the log2 evaluator, the one float path, logs both parts.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Iterable, Iterator, Sequence
 from .core import CapExceeded, _max_part_size, as_ratio
 from .ensemble import EnsembleParams
 
-_LN2 = math.log(2.0)
 _MAX_TABLE_N = 1000
 
 
@@ -123,16 +121,22 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
     return _coeff(_cut_power(gamma, s), gamma, _binomial_row(n - s), k)
 
 
-def _cell_coeff(params: EnsembleParams, s: int, m1: int) -> int:
-    """Coefficient of cell (s, m1): 0 off its support, ValueError off grid."""
+def _cells(params: EnsembleParams, s: int,
+           m1s: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Table numerators and denominators of avg(s, m1) for m1 in ``m1s``.
+
+    Off-grid indices raise ValueError.  Unless some cell lies on the
+    support, the numerators are zeros and p^s is not walked.
+    """
     n, m, d = params.n, params.m, params.delta
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}")
-    if not 0 <= m1 <= m:
-        raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
-    if s > d * m1 or s > d * (m - m1):
-        return 0
-    return constellation_coeff(params.gamma, s, n, d * m1)
+    for m1 in m1s:
+        if not 0 <= m1 <= m:
+            raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
+    nums = (_numerators(params, s, _cut_power(params.gamma, s), m1s)
+            if any(s <= d * min(m1, m - m1) for m1 in m1s) else [0] * len(m1s))
+    return nums, [math.comb(d * m, d * m1) for m1 in m1s]
 
 
 def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
@@ -141,12 +145,8 @@ def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
     Exact reduced rational.  Parts may be empty here (m1 in {0, m} is a
     legal index); balance filtering happens in the balanced variants.
     """
-    coef = _cell_coeff(params, s, m1)
-    if coef == 0:
-        return Fraction(0)
-    n, m, d = params.n, params.m, params.delta
-    return Fraction(math.comb(m, m1) * math.comb(n, s) * coef,
-                    math.comb(d * m, d * m1))
+    (num,), (den,) = _cells(params, s, [m1])
+    return Fraction(num, den)
 
 
 def balanced_first_part_range(m: int, epsilon) -> tuple[int, int]:
@@ -169,13 +169,10 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
 
     Walks p^s and builds the C(n-s, .) row once for the whole range.
     """
-    n, m, d = params.n, params.m, params.delta
-    if not 0 <= s <= n:
+    if not 0 <= s <= params.n:
         raise ValueError(f"need 0 <= s <= n, got s={s}")
-    lo, hi = balanced_first_part_range(m, epsilon)
-    m1s = range(lo, hi + 1)
-    return _ratio_sum(_numerators(params, s, _cut_power(params.gamma, s), m1s),
-                      [math.comb(d * m, d * m1) for m1 in m1s])
+    lo, hi = balanced_first_part_range(params.m, epsilon)
+    return _ratio_sum(*_cells(params, s, range(lo, hi + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,26 +304,15 @@ def _log2_int(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
-def _log2_comb(a: int, b: int) -> float:
-    return (math.lgamma(a + 1) - math.lgamma(b + 1)
-            - math.lgamma(a - b + 1)) / _LN2
-
-
 def log2_expected_bipartitions(params: EnsembleParams, s: int,
                                m1: int) -> float:
     """log2 of ``expected_bipartitions`` without building the huge rational.
 
-    Binomials go through log-gamma; the generating-function coefficient is
-    still computed exactly and then reduced to its log.  Returns -inf when
-    the support conditions fail or the coefficient vanishes.  Where both
-    this and the exact path run, they agree to 1e-9 relative.
+    The difference of the logs of the exact cell's integer numerator and
+    denominator; -inf where the cell is zero.
     """
-    coef = _cell_coeff(params, s, m1)
-    if coef == 0:
-        return float("-inf")
-    n, m, d = params.n, params.m, params.delta
-    return (_log2_comb(m, m1) + _log2_comb(n, s) - _log2_comb(d * m, d * m1)
-            + _log2_int(coef))
+    (num,), (den,) = _cells(params, s, [m1])
+    return _log2_int(num) - _log2_int(den) if num else float("-inf")
 
 
 def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:

@@ -61,6 +61,14 @@ class TestDist:
         assert run("dist", "-n", 3, "-g", 2, "-d", 2, "-e", "0") == 0
         assert "no exactly balanced bipartition" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps, message", [
+        ("1", "need 0 <= eps < 1"), ("1/0", "'1/0' has a zero denominator")])
+    def test_epsilon_checked_before_table(self, capsys, eps, message):
+        assert run("dist", "-n", 4, "-g", 2, "-d", 4, "-e", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestGrowth:
     def test_curve_values(self, capsys):
@@ -75,6 +83,32 @@ class TestGrowth:
     def test_zero_step_rejected(self, capsys):
         assert run("growth", "-g", 2, "-d", 5, "--step", 0) == 2
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["2", "0.3"])
+    def test_step_not_reciprocal_of_integer_rejected(self, capsys, step):
+        assert run("growth", "-g", 2, "-d", 5, "--step", step) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {float(step)}" in captured.err
+
+    def test_half_step_grid(self, capsys):
+        assert run("growth", "-g", 2, "-d", 5, "--step", 0.5) == 0
+        sigmas = [l.split(",")[0]
+                  for l in capsys.readouterr().out.splitlines()[1:]]
+        assert sigmas == ["0", "0.5", "1"]
+
+    def test_rational_epsilon_matches_decimal(self, capsys):
+        outs = []
+        for eps in ("1/20", "0.05"):
+            assert run("growth", "-g", 2, "-d", 5, "-e", eps,
+                       "--step", 0.5) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_epsilon_too_large_for_a_float_rejected(self, capsys):
+        assert run("growth", "-g", 2, "-d", 5, "-e", "1e400",
+                   "--step", 0.5) == 2
+        assert "epsilon must lie in [0, 1)" in capsys.readouterr().err
 
     def test_csv_out(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -104,6 +138,13 @@ class TestTables:
 
     def test_invalid_regime(self, capsys):
         assert run("tables", "-g", 1, "-d", 3) == 2
+
+    def test_rational_epsilon_matches_decimal(self, capsys):
+        outs = []
+        for eps in ("1/10", "0.1"):
+            assert run("tables", "-g", 2, "-d", 4, "-e", eps) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_tol_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import decimal
 import hashlib
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -331,6 +333,21 @@ class TestLog2:
                     ref = math.log2(exact.numerator) - math.log2(exact.denominator)
                     got = log2_expected_bipartitions(p, s, m1)
                     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("n, gamma, delta, s", [
+        (2000, 2, 4, 200), (2000, 2, 4, 400),
+        (1200, 3, 6, 120), (1200, 3, 6, 240)])
+    def test_matches_decimal_reference(self, n, gamma, delta, s):
+        # The large cells of the benchmark, at m1 = m/2.  The reference is
+        # ln(num) - ln(den) of the exact cell at 50 significant digits.
+        p = validate(n, gamma, delta)
+        exact = expected_bipartitions(p, s, p.m // 2)
+        got = Decimal(log2_expected_bipartitions(p, s, p.m // 2))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            ref = ((Decimal(exact.numerator).ln()
+                    - Decimal(exact.denominator).ln()) / Decimal(2).ln())
+            assert abs(got - ref) <= Decimal("2e-12")
 
 
 class TestCsv:
