@@ -13,8 +13,8 @@ from .core import (DEFAULT_ENUM_CAP, BinaryMatrix, CapExceeded,
                    hypergraph_from_matrix, is_balanced,
                    matrix_from_hypergraph, max_parallel_degree,
                    min_cutsize_bruteforce, tanner_to_hypergraph)
-from .ensemble import (RNG_ALGORITHM, EnsembleParams, enumerate_all, sample,
-                       validate)
+from .ensemble import (RNG_ALGORITHM, EnsembleParams, enumerate_all,
+                       instance_classes, sample, validate)
 from .exact_distribution import (CutsizeTable, balanced_first_part_range,
                                  constellation_coeff, cutsize_table,
                                  expected_balanced_bipartitions,
@@ -38,7 +38,8 @@ __all__ = [
     "curve", "cutsize", "cutsize_table",
     "enumerate_all", "exact_ensemble_average", "expected_balanced_bipartitions",
     "expected_bipartitions", "gf2_rank", "growth_rate",
-    "hypergraph_from_matrix", "inner_infimum", "is_balanced",
+    "hypergraph_from_matrix", "inner_infimum", "instance_classes",
+    "is_balanced",
     "log2_expected_bipartitions", "matrix_from_hypergraph",
     "max_parallel_degree", "min_cutsize_bruteforce", "monte_carlo_average",
     "peak_growth", "peak_sigma", "read_alist", "read_partition", "sample",

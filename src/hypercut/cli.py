@@ -20,6 +20,10 @@ from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan,
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import alist_text, read_alist, read_partition, write_alist
 
+#: Most sigma-grid points ``growth`` evaluates.  A point costs about 0.5 ms,
+#: so the largest grid, ``--step 0.0001``, runs for about 5 s.
+_GROWTH_POINT_BUDGET = 10_001
+
 
 def _outpath(arg: str | None) -> Path | None:
     if arg is None:
@@ -95,6 +99,9 @@ def cmd_dist(args) -> int:
 
 def cmd_growth(args) -> int:
     inverse = 1.0 / args.step if args.step > 0 else 0.0
+    if inverse + 1 > _GROWTH_POINT_BUDGET + 0.5:
+        raise ValueError(f"grid step {args.step} gives {inverse + 1:.0f} "
+                         f"points, over the budget of {_GROWTH_POINT_BUDGET}")
     points = round(inverse)
     if points < 1 or abs(inverse - points) > 1e-9:
         raise ValueError(f"grid step must be 1/k for a positive integer k, "
@@ -226,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cap(p):
         p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                       help="enumeration budget (assignments/permutations)")
+                       help="enumeration budget (assignments)")
 
     def add_seed(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -240,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="A-table CSV path")
     p.add_argument("--b-out", help="balanced-table CSV path")
     p.add_argument("--check-oracle", action="store_true",
-                   help="verify against the exhaustive permutation average")
+                   help="verify against the exhaustive average over all "
+                        "socket permutations, walked by instance class")
     p.add_argument("--suppress-zeros", action="store_true")
     add_cap(p)
     p.set_defaults(func=cmd_dist)

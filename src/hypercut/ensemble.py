@@ -4,9 +4,11 @@ An ensemble is the triple (n, gamma, delta): n nets of degree gamma and
 m = gamma*n/delta vertices of degree delta.  Every net socket is joined to a
 vertex socket through a uniformly random permutation of the xi = gamma*n
 edge sockets, so parallel connections (multiset nets) are possible and are
-kept.  All xi! socket permutations are equally likely; ``enumerate_all``
-yields every one of them, duplicates included, which is what exact
-averaging divides by.
+kept.  All xi! socket permutations are equally likely.  ``enumerate_all``
+yields every one of them, duplicates included.  ``instance_classes`` yields
+each distinct multiset of nets once, weighted by the number of permutations
+that produce it (the configuration model's count), which is what exact
+averaging walks.
 """
 
 from __future__ import annotations
@@ -107,3 +109,69 @@ def enumerate_all(params: EnsembleParams, cap: int = DEFAULT_ENUM_CAP):
                           f"exceed cap {cap}")
     for perm in itertools.permutations(range(params.xi)):
         yield _instance(params, perm)
+
+
+def _compositions(total: int, parts: int):
+    """Compositions of ``total`` into ``parts`` non-negative parts, in
+    decreasing lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def instance_classes(params: EnsembleParams):
+    """Yield ``(instance, weight)`` once per distinct multiset of nets.
+
+    A net is a composition a of gamma over the m vertices (a_v sockets on
+    vertex v); a class is a non-increasing sequence of n compositions in
+    which every vertex is used delta times, so its nets come out sorted,
+    exactly as ``tuple(sorted(h.nets))`` of any instance in it.  The weight
+    is the number of socket permutations that produce the class,
+
+        n! (gamma!)^n (delta!)^m / (prod mult! * prod_{j,v} a_jv!),
+
+    with mult the multiplicity of each distinct net.  The weights sum to
+    xi!, so a weighted average over this stream equals the average over
+    ``enumerate_all``.
+    """
+    n, g, d, m = params.n, params.gamma, params.delta, params.m
+    comps = list(_compositions(g, m))
+    nets = [tuple(v for v, a in enumerate(comp) for _ in range(a))
+            for comp in comps]
+    # Lowest vertex of each composition; it never decreases along ``comps``.
+    lowest = [net[0] for net in nets]
+    denom = [math.prod(map(math.factorial, comp)) for comp in comps]
+    top = (math.factorial(n) * math.factorial(g) ** n
+           * math.factorial(d) ** m)
+    budget = [d] * m
+    chosen: list[int] = []
+
+    def walk(start: int, den: int, run: int):
+        if len(chosen) == n:
+            # gamma*n = delta*m sockets placed with no vertex over delta,
+            # so every vertex is used exactly delta times.
+            yield Hypergraph(m, tuple(nets[k] for k in chosen)), top // den
+            return
+        # Compositions from ``start`` on never touch a vertex below their
+        # own lowest one, so the lowest vertex with budget left must be
+        # reachable or the branch is dead.
+        need = next(v for v in range(m) if budget[v])
+        for k in range(start, len(comps)):
+            if lowest[k] > need:
+                break
+            comp = comps[k]
+            if any(a > b for a, b in zip(comp, budget)):
+                continue
+            for v, a in enumerate(comp):
+                budget[v] -= a
+            mult = run + 1 if chosen and k == start else 1
+            chosen.append(k)
+            yield from walk(k, den * denom[k] * mult, mult)
+            chosen.pop()
+            for v, a in enumerate(comp):
+                budget[v] += a
+
+    yield from walk(0, 1, 0)

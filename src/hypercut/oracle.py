@@ -1,12 +1,13 @@
 """Brute-force ground truth for the cutsize distribution.
 
 Counts bipartitions of concrete instances by enumerating all 2^m labeled
-vertex assignments, averages those counts over every socket permutation of
-an ensemble (exactly, in rationals), and estimates the same table by Monte
-Carlo with standard errors.  Both averages count each distinct multiset of
-nets once and weight it by its multiplicity.  The exhaustive average must
-equal the generating-function table cell for cell; that equality is the
-main correctness gate for both sides.
+vertex assignments, averages those counts over an ensemble exactly, in
+rationals, and estimates the same table by Monte Carlo with standard
+errors.  Both averages count each distinct multiset of nets (a class) once
+and weight it: the exact average by the number of socket permutations that
+produce it (``instance_classes``), the estimate by how often it was
+sampled.  The exhaustive average must equal the generating-function table
+cell for cell; that equality is the main correctness gate for both sides.
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
-from .ensemble import EnsembleParams, enumerate_all, sample_with_rng
+# ``enumerate_all`` is unused here, but bench/selftest.py ``check_restore``
+# asserts that the tracer wraps ``hypercut.oracle.enumerate_all``.
+from .ensemble import (EnsembleParams, enumerate_all,  # noqa: F401
+                       instance_classes, sample_with_rng)
 from .exact_distribution import CutsizeTable
 
 
@@ -42,22 +46,30 @@ def count_bipartitions(h: Hypergraph,
     return counts
 
 
-def _class_sums(instances: Iterable[Hypergraph], m: int, cap: int
+def _class_sums(classes: Iterable[tuple[Hypergraph, int]], m: int, cap: int
                 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Sums of the counts and of their squares, per (cutsize, |U1|) cell,
-    over a stream of instances on m vertices.
+    """Weighted sums of the counts and of their squares, per (cutsize, |U1|)
+    cell, over ``(instance, weight)`` pairs on m vertices.
 
-    The counts depend only on the multiset of an instance's nets, so
-    ``count_bipartitions`` runs once per distinct multiset and its counts
-    are weighted by how often the multiset occurs.
+    The counts depend only on the multiset of an instance's nets, so each
+    pair stands for ``weight`` instances and ``count_bipartitions`` runs
+    once per pair.  The cap counts the work as it is done, 2^m assignments
+    per pair visited; the walk stops as soon as the total passes it.
     """
-    classes = Counter(tuple(sorted(h.nets)) for h in instances)
+    cost = 1 << m
+    if cost > cap:
+        raise CapExceeded(f"2^{m} assignments per class exceed cap {cap}")
+    visited = 0
     sums: dict[tuple[int, int], int] = {}
     sumsq: dict[tuple[int, int], int] = {}
-    for nets, mult in classes.items():
-        for key, c in count_bipartitions(Hypergraph(m, nets), cap=cap).items():
-            sums[key] = sums.get(key, 0) + mult * c
-            sumsq[key] = sumsq.get(key, 0) + mult * c * c
+    for h, weight in classes:
+        visited += cost
+        if visited > cap:
+            raise CapExceeded(f"{visited} assignments visited "
+                              f"(2^{m} per class) against cap {cap}")
+        for key, c in count_bipartitions(h, cap=cap).items():
+            sums[key] = sums.get(key, 0) + weight * c
+            sumsq[key] = sumsq.get(key, 0) + weight * c * c
     return sums, sumsq
 
 
@@ -65,10 +77,13 @@ def exact_ensemble_average(params: EnsembleParams,
                            cap: int = DEFAULT_ENUM_CAP) -> CutsizeTable:
     """Average ``count_bipartitions`` over all xi! socket permutations.
 
+    The walk visits each class of ``instance_classes`` once and weights its
+    counts by the class's permutation count, so it never builds the xi!
+    instances.  ``cap`` bounds the assignments counted, 2^m per class.
     Exact table on the full (s, m1) grid, integer totals over xi!; the
     structural identities are verified on construction.
     """
-    totals, _ = _class_sums(enumerate_all(params, cap=cap), params.m, cap)
+    totals, _ = _class_sums(instance_classes(params), params.m, cap)
     fact = math.factorial(params.xi)
     num = [[totals.get((s, m1), 0) for m1 in range(params.m + 1)]
            for s in range(params.n + 1)]
@@ -101,8 +116,11 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
     if 1 << params.m > cap:
         raise CapExceeded(f"2^{params.m} assignments exceed cap {cap}")
     rng = random.Random(seed)
-    sums, sumsq = _class_sums((sample_with_rng(params, rng)
-                               for _ in range(samples)), params.m, cap)
+    classes = Counter(tuple(sorted(sample_with_rng(params, rng).nets))
+                      for _ in range(samples))
+    sums, sumsq = _class_sums(((Hypergraph(params.m, nets), mult)
+                               for nets, mult in classes.items()),
+                              params.m, cap)
 
     grid = [(s, m1) for s in range(params.n + 1)
             for m1 in range(params.m + 1)]

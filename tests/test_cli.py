@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hypercut import core
+from hypercut import asymptotics, core
 from hypercut.cli import main
 from hypercut.core import BinaryMatrix, Partition
 from hypercut.formats import read_alist, write_alist, write_partition
@@ -57,6 +57,13 @@ class TestDist:
         assert run("dist", "-n", 2, "-g", 2, "-d", 2, "--check-oracle") == 0
         assert "EXACT MATCH PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n, delta", [(8, 4), (9, 3)])
+    def test_check_oracle_beyond_permutation_range(self, capsys, n, delta):
+        # xi! = 16! and 18!: reachable only by walking instance classes
+        assert run("dist", "-n", n, "-g", 2, "-d", delta,
+                   "--check-oracle") == 0
+        assert "EXACT MATCH PASS" in capsys.readouterr().out
+
     def test_odd_m_note(self, capsys):
         assert run("dist", "-n", 3, "-g", 2, "-d", 2, "-e", "0") == 0
         assert "no exactly balanced bipartition" in capsys.readouterr().out
@@ -90,6 +97,25 @@ class TestGrowth:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"got {float(step)}" in captured.err
+
+    def test_step_over_point_budget_rejected_at_once(self, capsys,
+                                                     monkeypatch):
+        def evaluate(*args):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(asymptotics, "curve", evaluate)
+        assert run("growth", "-g", 2, "-d", 5, "--step", "1e-6") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1000001 points" in captured.err
+        assert "budget of 10001" in captured.err
+
+    def test_largest_grid_within_point_budget(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(asymptotics, "curve",
+                            lambda regime, eps, grid: grids.append(grid) or [])
+        assert run("growth", "-g", 2, "-d", 5, "--step", "0.0001") == 0
+        assert len(grids[0]) == 10_001
 
     def test_half_step_grid(self, capsys):
         assert run("growth", "-g", 2, "-d", 5, "--step", 0.5) == 0
@@ -288,8 +314,9 @@ class TestOracle:
         assert "0,1,6,35" in out and "2,1,48,35" in out and "4,1,16,35" in out
 
     def test_cap_exceeded(self, capsys):
+        # 15 classes of 2^3 assignments each; the walk stops past 64
         assert run("oracle", "-n", 6, "-g", 2, "-d", 4,
-                   "--mode", "exhaustive") == 2
+                   "--mode", "exhaustive", "--cap", 64) == 2
         assert "cap" in capsys.readouterr().err
 
     def test_montecarlo(self, capsys):

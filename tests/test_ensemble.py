@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from hypercut.core import CapExceeded
 from hypercut.ensemble import (EnsembleParams, enumerate_all,
-                               hypergraph_from_socket_permutation, sample,
-                               validate)
+                               hypergraph_from_socket_permutation,
+                               instance_classes, sample, validate)
 
 
 @st.composite
@@ -141,6 +141,29 @@ class TestEnumerateAll:
             perm = rng.sample(range(p.xi), p.xi)
             assert (hypergraph_from_socket_permutation(p, perm).nets
                     == _nets_by_formula(p, perm))
+
+
+class TestInstanceClasses:
+    @pytest.mark.parametrize("n, g, d", [(2, 2, 2), (3, 2, 3), (4, 2, 4),
+                                         (2, 3, 3)])
+    def test_weights_equal_permutation_counts(self, n, g, d):
+        p = validate(n, g, d)
+        assert {h.nets: w for h, w in instance_classes(p)} == Counter(
+            tuple(sorted(h.nets)) for h in enumerate_all(p))
+
+    @pytest.mark.parametrize("n, g, d", [
+        (4, 2, 4), (2, 3, 3), (3, 2, 3), (3, 1, 3), (1, 2, 2), (6, 2, 4),
+        (8, 2, 4), (6, 3, 6), (10, 2, 5), (9, 2, 3), (10, 2, 4), (8, 3, 6)])
+    def test_weights_sum_to_xi_factorial_once_per_class(self, n, g, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = validate(n, g, d)
+        classes = list(instance_classes(p))
+        assert sum(w for _, w in classes) == math.factorial(p.xi)
+        assert len({h.nets for h, _ in classes}) == len(classes)
+        for h, _ in classes:
+            degree = Counter(v for net in h.nets for v in net)
+            assert [degree[v] for v in range(p.m)] == [d] * p.m
 
 
 def test_sampler_matches_uniform_permutation_law():

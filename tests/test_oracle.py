@@ -94,12 +94,35 @@ class TestExactEnsembleAverage:
             p = validate(3, 1, 3)
         assert exact_ensemble_average(p).cells == cutsize_table(p).cells
 
+    @pytest.mark.parametrize("n, g, d", [
+        (6, 2, 4), (8, 2, 4), (6, 3, 6), (10, 2, 5), (10, 2, 4), (8, 3, 6),
+        (9, 2, 3)])
+    def test_matches_formula_beyond_permutation_range(self, n, g, d):
+        p = validate(n, g, d)
+        assert exact_ensemble_average(p).cells == cutsize_table(p).cells
+
     def test_cap(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p = validate(6, 2, 4)  # xi = 12
+            p = validate(6, 2, 4)  # 15 classes of 2^3 assignments
         with pytest.raises(CapExceeded):
-            exact_ensemble_average(p)
+            exact_ensemble_average(p, cap=64)
+
+    def test_cap_counts_assignments_of_visited_classes(self, monkeypatch):
+        p = validate(6, 2, 4)
+        calls = _count_calls(monkeypatch)
+        exact_ensemble_average(p, cap=15 * 8)
+        assert len(calls) == 15
+        calls.clear()
+        with pytest.raises(CapExceeded, match="120 assignments visited"):
+            exact_ensemble_average(p, cap=15 * 8 - 1)
+        assert len(calls) == 14
+
+    def test_cap_below_one_class_fails_before_walking(self, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        with pytest.raises(CapExceeded, match="2\\^3 assignments per class"):
+            exact_ensemble_average(validate(6, 2, 4), cap=7)
+        assert calls == []
 
     def test_average_is_rational_mean_of_instances(self):
         # One count per permutation, summed, against every cell.
