@@ -141,7 +141,8 @@ def instance_classes(params: EnsembleParams):
     comps = list(_compositions(g, m))
     nets = [tuple(v for v, a in enumerate(comp) for _ in range(a))
             for comp in comps]
-    # Lowest vertex of each composition; it never decreases along ``comps``.
+    # Lowest vertex of each composition; it never decreases along ``comps``,
+    # and a class may only repeat a composition or move further along.
     lowest = [net[0] for net in nets]
     denom = [math.prod(map(math.factorial, comp)) for comp in comps]
     top = (math.factorial(n) * math.factorial(g) ** n
@@ -155,9 +156,9 @@ def instance_classes(params: EnsembleParams):
             # so every vertex is used exactly delta times.
             yield Hypergraph(m, tuple(nets[k] for k in chosen)), top // den
             return
-        # Compositions from ``start`` on never touch a vertex below their
-        # own lowest one, so the lowest vertex with budget left must be
-        # reachable or the branch is dead.
+        # ``need`` is the lowest vertex with budget left.  Once a candidate's
+        # lowest vertex lies above it, so does every later candidate's, and
+        # no net left can use ``need``: the branch is dead.
         need = next(v for v in range(m) if budget[v])
         for k in range(start, len(comps)):
             if lowest[k] > need:
