@@ -28,7 +28,7 @@ ln u* = ((delta-1)/delta)*logit(mu1).  Every routine here is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -68,18 +68,25 @@ class GrowthPoint:
 
 @dataclass(frozen=True)
 class VerdictRow:
-    """Design rate vs. typical minimum cutsize for one (gamma, delta)."""
+    """Design rate vs. typical minimum cutsize for one (gamma, delta).
+
+    Built from (gamma, delta, beta_star); the rest is computed:
+    ``design_rate`` = 1 - gamma/delta, ``margin`` = design_rate - beta_star,
+    and ``satisfied`` iff the margin is non-negative.
+    """
 
     gamma: int
     delta: int
-    design_rate: float
+    design_rate: float = field(init=False)
     beta_star: float
-    satisfied: bool
-    margin: float
+    satisfied: bool = field(init=False)
+    margin: float = field(init=False)
 
     def __post_init__(self):
-        if self.satisfied != (self.margin >= 0):
-            raise ValueError("satisfied flag inconsistent with margin")
+        rate = 1.0 - self.gamma / self.delta
+        object.__setattr__(self, "design_rate", rate)
+        object.__setattr__(self, "margin", rate - self.beta_star)
+        object.__setattr__(self, "satisfied", self.margin >= 0)
 
 
 def _degrees(ensemble) -> tuple[int, int]:
@@ -403,10 +410,8 @@ def verdict(ensemble, epsilon: float = 0.0) -> VerdictRow:
     two parallel systems.
     """
     gamma, delta = _degrees(ensemble)
-    design_rate = 1.0 - gamma / delta
-    beta = typical_min_cutsize(epsilon, (gamma, delta))
-    margin = design_rate - beta
-    return VerdictRow(gamma, delta, design_rate, beta, margin >= 0, margin)
+    return VerdictRow(gamma, delta,
+                      typical_min_cutsize(epsilon, (gamma, delta)))
 
 
 def curve(ensemble, epsilon: float,

@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import asymptotics, exact_distribution, oracle
-from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan,
+from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan, as_ratio,
                    check_block_diagonalizable, matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import alist_text, read_alist, read_partition, write_alist
@@ -35,20 +34,8 @@ def _outpath(arg: str | None) -> Path | None:
     return path
 
 
-def _eps(arg: str | None) -> Fraction | None:
-    if arg is None:
-        return None
-    try:
-        eps = Fraction(arg)
-    except ZeroDivisionError:
-        raise ValueError(f"epsilon {arg!r} has a zero denominator") from None
-    if eps < 0:
-        raise ValueError("epsilon must be non-negative")
-    return eps
-
-
 def _float_eps(arg: str) -> float:
-    eps = _eps(arg)
+    eps = as_ratio(arg)
     try:  # the asymptotic layer rejects inf as it rejects any eps >= 1
         return float(eps)
     except OverflowError:
@@ -57,7 +44,7 @@ def _float_eps(arg: str) -> float:
 
 def cmd_dist(args) -> int:
     params = validate(args.n, args.gamma, args.delta)
-    eps = _eps(args.epsilon)
+    eps = None if args.epsilon is None else as_ratio(args.epsilon)
     if eps is not None:
         lo, hi = exact_distribution.balanced_first_part_range(params.m, eps)
     table = exact_distribution.cutsize_table(params)  # checks total = 2^m
@@ -153,7 +140,7 @@ def cmd_sample(args) -> int:
 def cmd_check(args) -> int:
     mat = read_alist(args.alist)
     part = read_partition(args.partition, args.parts)
-    eps = _eps(args.epsilon)
+    eps = as_ratio(args.epsilon)
     n, m = mat.cols, mat.rows
 
     v = check_block_diagonalizable(mat, part, eps)

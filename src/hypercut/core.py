@@ -24,7 +24,7 @@ The minimum-cut search keeps its cut incrementally, as a bitmask of nets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -39,23 +39,30 @@ class CapExceeded(ValueError):
 
 
 def as_ratio(value: int | float | str | Fraction) -> Fraction:
-    """Coerce an imbalance ratio to an exact ``Fraction``.
+    """Read an imbalance ratio as an exact, non-negative ``Fraction``.
 
     Floats go through their shortest decimal representation, so ``0.2``
     means exactly 1/5 rather than the nearest binary double.  Strings are
-    parsed directly (``"1/3"``, ``"0.05"``, ``"2e-2"`` all work).
+    parsed directly (``"1/3"``, ``"0.05"``, ``"2e-2"`` all work).  Every
+    exact epsilon is read here, in the library and on the command line, so
+    the errors are the same in both: ``ValueError`` for a non-finite float,
+    a zero denominator (``"1/0"``) or a negative ratio, ``TypeError`` for
+    any other type.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"ratio must be finite, got {value!r}")
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a ratio")
+        value = str(value)
+    elif not isinstance(value, (int, str, Fraction)):
+        raise TypeError(f"cannot interpret {value!r} as a ratio")
+    try:
+        eps = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {value!r} has a zero denominator") \
+            from None
+    if eps < 0:
+        raise ValueError("epsilon must be non-negative")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -199,13 +206,15 @@ class Partition:
 class EncodabilityVerdict:
     """Result of the block-diagonalization feasibility check.
 
-    ``feasible`` holds iff the partition is balanced and, for every part,
-    the columns connecting only to that part span it over GF(2).  When
-    feasible, ``row_order``/``col_order`` give a witness permutation pair
-    that places one nonsingular block per part on the diagonal.
+    ``per_part_rank`` holds (part size, GF(2) rank of the columns connecting
+    only to that part) per part.  ``feasible`` is computed, not passed: it
+    holds iff the partition is balanced and every part's rank equals its
+    size.  When feasible, ``row_order``/``col_order`` give a witness
+    permutation pair that places one nonsingular block per part on the
+    diagonal.
     """
 
-    feasible: bool
+    feasible: bool = field(init=False)
     balanced: bool
     cutsize: int
     per_part_rank: tuple[tuple[int, int], ...]
@@ -213,9 +222,8 @@ class EncodabilityVerdict:
     col_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        full = self.balanced and all(r == s for s, r in self.per_part_rank)
-        if self.feasible != full:
-            raise ValueError("verdict inconsistent with its rank data")
+        object.__setattr__(self, "feasible", self.balanced and all(
+            r == s for s, r in self.per_part_rank))
 
 
 def hypergraph_from_matrix(mat: BinaryMatrix) -> Hypergraph:
@@ -301,11 +309,8 @@ def cutsize(h: Hypergraph, p: Partition) -> int:
 
 def _max_part_size(m: int, k: int, epsilon) -> int:
     """Largest part size of an eps-balanced k-way partition of m vertices:
-    floor((m/k)(1+eps)), exact because eps is coerced to a Fraction."""
-    eps = as_ratio(epsilon)
-    if eps < 0:
-        raise ValueError("imbalance ratio must be non-negative")
-    return math.floor(Fraction(m, k) * (1 + eps))
+    floor((m/k)(1+eps)), exact because ``as_ratio`` reads eps."""
+    return math.floor(Fraction(m, k) * (1 + as_ratio(epsilon)))
 
 
 def is_balanced(p: Partition, epsilon) -> bool:
@@ -364,16 +369,15 @@ def check_block_diagonalizable(mat: BinaryMatrix, p: Partition,
         per_part.append((pm.bit_count(), len(picked)))
         diag_cols += picked
 
-    feasible = balanced and all(r == s for s, r in per_part)
-    row_order = col_order = None
-    if feasible:
-        row_order = tuple(v for part in range(1, p.k + 1)
-                          for v in p.members(part))
-        diag = set(diag_cols)
-        col_order = tuple(diag_cols + [j for j in range(mat.cols)
-                                       if j not in diag])
-    return EncodabilityVerdict(feasible, balanced, cut, tuple(per_part),
-                               row_order, col_order)
+    verdict = EncodabilityVerdict(balanced, cut, tuple(per_part))
+    if not verdict.feasible:
+        return verdict
+    diag = set(diag_cols)
+    return replace(verdict,
+                   row_order=tuple(v for part in range(1, p.k + 1)
+                                   for v in p.members(part)),
+                   col_order=tuple(diag_cols + [j for j in range(mat.cols)
+                                                if j not in diag]))
 
 
 def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph
 
@@ -28,39 +28,43 @@ RNG_ALGORITHM = "mt19937/fisher-yates"
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Validated parameters (n, gamma, delta) with derived m and xi."""
+    """Parameters (n, gamma, delta) and the values they fix: m = gamma*n/delta
+    vertices and xi = gamma*n edge sockets.
+
+    The record checks its own inputs: n, gamma and delta must be at least 1
+    and delta must divide gamma*n (m must be an integer).
+    """
 
     n: int
     gamma: int
     delta: int
-    m: int
-    xi: int
+    m: int = field(init=False)
+    xi: int = field(init=False)
 
     def __post_init__(self):
         if min(self.n, self.gamma, self.delta) < 1:
             raise ValueError("n, gamma, delta must all be at least 1")
-        if self.m * self.delta != self.gamma * self.n or self.xi != self.gamma * self.n:
-            raise ValueError("inconsistent derived fields; use validate()")
+        xi = self.gamma * self.n
+        if xi % self.delta:
+            raise ValueError(f"gamma*n must be divisible by delta "
+                             f"(gamma*n = {xi}, delta = {self.delta})")
+        object.__setattr__(self, "m", xi // self.delta)
+        object.__setattr__(self, "xi", xi)
 
 
 def validate(n: int, gamma: int, delta: int) -> EnsembleParams:
-    """Check socket balance and build the parameter record.
+    """Build the parameter record from integer-like inputs.
 
-    gamma*n must be divisible by delta (the vertex count m must be an
-    integer).  A negative design rate (delta < gamma) is legal but makes
-    encodability verdicts vacuous, so it only warns.
+    ``EnsembleParams`` checks socket balance.  A negative design rate
+    (delta < gamma) is legal but makes encodability verdicts vacuous, so it
+    only warns.
     """
-    n, gamma, delta = int(n), int(gamma), int(delta)
-    if min(n, gamma, delta) < 1:
-        raise ValueError("n, gamma, delta must all be at least 1")
-    if (gamma * n) % delta != 0:
-        raise ValueError(f"gamma*n must be divisible by delta "
-                         f"(gamma*n = {gamma * n}, delta = {delta})")
-    if delta < gamma:
-        warnings.warn(f"design rate 1 - gamma/delta = 1 - {gamma}/{delta} is "
-                      "negative; encodability verdicts are vacuous",
-                      stacklevel=2)
-    return EnsembleParams(n, gamma, delta, (gamma * n) // delta, gamma * n)
+    params = EnsembleParams(int(n), int(gamma), int(delta))
+    if params.delta < params.gamma:
+        warnings.warn(f"design rate 1 - gamma/delta = 1 - {params.gamma}/"
+                      f"{params.delta} is negative; encodability verdicts "
+                      "are vacuous", stacklevel=2)
+    return params
 
 
 def _instance(params: EnsembleParams, perm) -> Hypergraph:

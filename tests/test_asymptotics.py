@@ -136,6 +136,10 @@ class TestGrowthRate:
         with pytest.raises(ValueError):
             growth_rate(0.5, -0.1, (2, 4))
 
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            growth_rate(0.1, 0.5, (0, 4))
+
 
 class TestBalancedGrowthRate:
     def test_zero_imbalance_short_circuits(self):
@@ -253,6 +257,11 @@ class TestPeak:
         assert peak_growth(0.5, (2, 4)) == 0.5
         assert peak_growth(0.0, (3, 6)) == 0.0
 
+    @pytest.mark.parametrize("mu1", [-0.1, 1.5])
+    def test_mu1_domain(self, mu1):
+        with pytest.raises(ValueError, match=r"mu1 must lie in \[0, 1\]"):
+            peak_sigma(mu1, 2)
+
     def test_numeric_argmax_matches(self):
         gamma, delta, mu1 = 3, 6, 0.4
         lo, hi = 1e-9, min(1.0, gamma * min(mu1, 1 - mu1)) - 1e-9
@@ -327,9 +336,19 @@ class TestVerdict:
         assert verdict((5, 21)).satisfied
         assert not verdict((5, 20)).satisfied
 
-    def test_margin_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            VerdictRow(2, 3, 0.33, 0.06, False, 0.27)
+    def test_row_computes_derived_fields(self):
+        for gamma, delta, beta in ((2, 3, 0.06), (3, 4, 0.3), (2, 4, 0.5)):
+            r = VerdictRow(gamma, delta, beta)
+            assert r.design_rate == 1.0 - gamma / delta
+            assert r.margin == r.design_rate - beta
+            assert r.satisfied == (r.margin >= 0)
+        assert not VerdictRow(3, 4, 0.3).satisfied
+        assert VerdictRow(2, 4, 0.5).satisfied  # margin exactly 0
+        row = verdict((2, 3))
+        assert row == VerdictRow(2, 3, row.beta_star)
+        assert repr(VerdictRow(2, 4, 0.25)) == (
+            "VerdictRow(gamma=2, delta=4, design_rate=0.5, beta_star=0.25, "
+            "satisfied=True, margin=0.25)")
 
 
 class TestCurve:

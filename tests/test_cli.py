@@ -9,6 +9,8 @@ import pytest
 from hypercut import asymptotics, core
 from hypercut.cli import main
 from hypercut.core import BinaryMatrix, Partition
+from hypercut.ensemble import validate
+from hypercut.exact_distribution import cutsize_table, write_table_csv
 from hypercut.formats import read_alist, write_alist, write_partition
 
 
@@ -40,6 +42,13 @@ class TestDist:
         out = capsys.readouterr().out
         rows = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert len(rows) == 5  # (0,0), (0,1), (2,1), (4,1), (0,2)
+
+    def test_suppress_zeros_drops_zero_balanced_rows(self, capsys):
+        assert run("dist", "-n", 4, "-g", 2, "-d", 4, "-e", "0",
+                   "--suppress-zeros") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[out.index("s,B_num,B_den"):] == [
+            "s,B_num,B_den", "0,6,35", "2,48,35", "4,16,35"]
 
     def test_invalid_params_exit_2(self, capsys):
         assert run("dist", "-n", 3, "-g", 2, "-d", 4) == 2
@@ -296,6 +305,17 @@ class TestSampleAndCheck:
         assert "dimension mismatch: partition covers 3 vertices, matrix has " \
             "2 rows" in captured.err
 
+    @pytest.mark.parametrize("eps, message", [
+        ("1/0", "epsilon '1/0' has a zero denominator"),
+        ("-0.1", "epsilon must be non-negative")])
+    def test_check_bad_epsilon_exit_2(self, tmp_path, capsys, eps, message):
+        alist, part = _identity_instance(tmp_path, (1, 2))
+        assert run("check", "--alist", alist, "--partition", part,
+                   "-e", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.alist"
         bad.write_text("2 2\n1 1\nbogus 1\n1 1\n1\n2\n1\n2\n")
@@ -312,6 +332,20 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "EXACT MATCH" in out
         assert "0,1,6,35" in out and "2,1,48,35" in out and "4,1,16,35" in out
+
+    def test_exhaustive_csv_is_the_table_csv(self, tmp_path, capsys):
+        out, ref = tmp_path / "a.csv", tmp_path / "ref.csv"
+        assert run("oracle", "-n", 4, "-g", 2, "-d", 4, "-o", out) == 0
+        write_table_csv(cutsize_table(validate(4, 2, 4)), ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_montecarlo_csv(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run("oracle", "-n", 4, "-g", 2, "-d", 4, "--mode", "montecarlo",
+                   "--samples", 200, "--seed", 1, "-o", out) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "s,m1,mean,stderr"
+        assert len(lines) - 1 == (4 + 1) * (2 + 1)
 
     def test_cap_exceeded(self, capsys):
         # 15 classes of 2^3 assignments each; the walk stops past 64

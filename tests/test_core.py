@@ -53,6 +53,10 @@ class TestBinaryMatrix:
         with pytest.raises(ValueError, match="out of bounds"):
             BinaryMatrix(2, 2, frozenset({(2, 0)}))
 
+    def test_negative_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            BinaryMatrix(-1, 2, frozenset())
+
     def test_dense_round_trip(self):
         mat = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
         assert mat.rows == 2 and mat.cols == 3
@@ -125,6 +129,31 @@ class TestTanner:
         with pytest.raises(ValueError, match="out of range"):
             tanner_to_hypergraph([1], [1], [(0, 5)])
 
+    def test_variable_out_of_range(self):
+        with pytest.raises(ValueError, match="variable 3 out of range"):
+            tanner_to_hypergraph([1], [1], [(3, 0)])
+
+    def test_check_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError,
+                           match="check 0: 1 edges but degree 2 declared"):
+            tanner_to_hypergraph([1], [2], [(0, 0)])
+
+
+class TestHypergraph:
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match="vertex count"):
+            Hypergraph(-1, ())
+
+    def test_empty_net_rejected(self):
+        with pytest.raises(ValueError, match="net 1 is empty"):
+            Hypergraph(2, ((0,), ()))
+
+    @pytest.mark.parametrize("net", [(0, 2), (-1, 0)])
+    def test_vertex_out_of_range_rejected(self, net):
+        with pytest.raises(ValueError,
+                           match="net 0 references a vertex out of range"):
+            Hypergraph(2, (net,))
+
 
 class TestCutsize:
     def test_single_part_never_cuts(self):
@@ -188,6 +217,29 @@ class TestBalance:
         assert as_ratio(0.2) == Fraction(1, 5)
         assert as_ratio("1/3") == Fraction(1, 3)
         assert as_ratio(2) == 2
+
+    @pytest.mark.parametrize("value, message", [
+        ("1/0", "epsilon '1/0' has a zero denominator"),
+        ("-1/10", "epsilon must be non-negative"),
+        (Fraction(-1, 3), "epsilon must be non-negative"),
+        (-1, "epsilon must be non-negative"),
+        (float("inf"), "ratio must be finite, got inf"),
+        (float("nan"), "ratio must be finite, got nan"),
+    ])
+    def test_as_ratio_rejects(self, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            as_ratio(value)
+
+    @pytest.mark.parametrize("value", [None, [0.1], 1j])
+    def test_as_ratio_rejects_other_types(self, value):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            as_ratio(value)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            is_balanced(Partition((1, 2)), "1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            min_cutsize_bruteforce(Hypergraph(2, ((0, 1),)), 2, "1/0")
 
 
 class TestGF2Rank:
@@ -268,10 +320,18 @@ class TestBlockDiagonalizable:
         mat = BinaryMatrix.from_columns(
             [{0}, set(), {0, 1}, {2, 3}, {1}, {3}, {1, 2}], 4)
         assert check_block_diagonalizable(mat, Partition((1, 1, 2, 2)), 0) \
-            == EncodabilityVerdict(True, True, 1, ((2, 2), (2, 2)),
+            == EncodabilityVerdict(True, 1, ((2, 2), (2, 2)),
                                    (0, 1, 2, 3), (0, 2, 3, 5, 1, 4, 6))
         assert check_block_diagonalizable(mat, Partition((1, 2, 1, 2)), 0) \
-            == EncodabilityVerdict(False, True, 3, ((2, 1), (2, 2)))
+            == EncodabilityVerdict(True, 3, ((2, 1), (2, 2)))
+
+    def test_verdict_computes_feasibility(self):
+        assert EncodabilityVerdict(True, 0, ((1, 1), (2, 2))).feasible
+        assert not EncodabilityVerdict(False, 0, ((1, 1), (2, 2))).feasible
+        assert not EncodabilityVerdict(True, 0, ((1, 1), (2, 1))).feasible
+        assert repr(EncodabilityVerdict(True, 2, ((1, 1),))) == (
+            "EncodabilityVerdict(feasible=True, balanced=True, cutsize=2, "
+            "per_part_rank=((1, 1),), row_order=None, col_order=None)")
 
     @given(matrices_with_full_columns(), st.data())
     @settings(max_examples=60)
@@ -366,6 +426,10 @@ class TestMinCutsizeBruteforce:
         monkeypatch.setattr(Hypergraph, "supports", property(no_enumeration))
         with pytest.raises(ValueError, match="balanced"):
             min_cutsize_bruteforce(ring, 4, 0)
+
+    def test_zero_parts_rejected(self):
+        with pytest.raises(ValueError, match="part count must be at least 1"):
+            min_cutsize_bruteforce(Hypergraph(2, ((0, 1),)), 0, 0)
 
     def test_more_parts_than_vertices(self):
         with pytest.raises(ValueError, match="non-empty"):

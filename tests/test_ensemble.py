@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import warnings
 from collections import Counter
 
@@ -55,9 +56,21 @@ class TestValidate:
         with pytest.warns(UserWarning, match="design rate"):
             validate(4, 4, 2)
 
-    def test_inconsistent_record_rejected(self):
-        with pytest.raises(ValueError, match="validate"):
-            EnsembleParams(4, 2, 4, 3, 8)
+    def test_record_computes_derived_fields(self):
+        for n, gamma, delta in ((4, 2, 4), (6, 3, 6), (9, 2, 3), (5, 4, 2)):
+            p = EnsembleParams(n, gamma, delta)
+            assert (p.m, p.xi) == (gamma * n // delta, gamma * n)
+        assert EnsembleParams(6, 3, 6) == validate(6, 3, 6)
+        assert repr(EnsembleParams(4, 2, 4)) == \
+            "EnsembleParams(n=4, gamma=2, delta=4, m=2, xi=8)"
+
+    def test_record_rejects_indivisible(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "gamma*n must be divisible by delta (gamma*n = 6, "
+                "delta = 4)")):
+            EnsembleParams(3, 2, 4)
+        with pytest.raises(ValueError, match="at least 1"):
+            EnsembleParams(0, 2, 2)
 
 
 class TestSample:

@@ -220,6 +220,11 @@ class TestCutsizeTable:
                            match=r"support violated at \(1, 0\)"):
             self._bumped(params, (1, 0, 1), (1, 2, 1)).validate()
 
+    def test_validate_shape(self):
+        params = validate(4, 2, 4)
+        with pytest.raises(AssertionError, match=r"not \(n\+1\) x \(m\+1\)"):
+            CutsizeTable(params, [[1]], [1]).validate()
+
     def test_validate_negative(self):
         params = validate(4, 2, 4)  # cell (1, 1) is zero
         with pytest.raises(AssertionError, match=r"negative cell at \(1, 1\)"):
@@ -275,6 +280,15 @@ class TestBalanced:
             balanced_first_part_range(2, 1)
         with pytest.raises(ValueError):
             balanced_first_part_range(2, -0.5)
+
+    def test_zero_denominator_rejected(self):
+        p = validate(4, 2, 4)
+        with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+            balanced_first_part_range(4, "1/0")
+        with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+            expected_balanced_bipartitions(p, 0, "1/0")
+        with pytest.raises(ValueError, match="'1/0' has a zero denominator"):
+            cutsize_table(p).balanced_distribution("1/0")
 
     def test_balanced_sum_equals_middle_row(self):
         p = validate(4, 2, 4)

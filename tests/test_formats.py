@@ -61,6 +61,28 @@ def test_alist_errors_carry_line_numbers(tmp_path, content, lineno, what):
     assert f":{lineno}:" in str(err.value)
 
 
+@pytest.mark.parametrize("content, lineno, what", [
+    ("2 2 2\n1 1\n1 1\n1 1\n", 1, "header must be 'n m'"),
+    ("0 2\n1 1\n1\n1 1\n", 1, "dimensions must be positive"),
+    ("2 2\n1\n1 1\n1 1\n", 2, "expected max column/row degrees"),
+    ("2 2\n1 1\n1 1\n1\n1\n2\n1\n2\n", 4, "expected 2 row degrees, got 1"),
+    ("2 2\n1 1\n2 1\n1 1\n1 2\n2\n1\n2\n", 4,
+     "a degree exceeds the declared maximum"),
+    ("2 2\n1 1\n1 1\n1 1\n1\n2\n1\n", 7, "truncated neighbor lists"),
+    ("2 2\n2 1\n2 0\n1 1\n1 1\n0 0\n1\n0\n", 5,
+     r"duplicate entry \(row 1, column 1\)"),
+    ("2 2\n1 2\n1 1\n1 0\n1\n1\n1 2\n0\n", 7,
+     "row 1 lists 2 columns, degree says 1"),
+])
+def test_alist_section_errors_carry_path_and_line(tmp_path, content, lineno,
+                                                  what):
+    path = tmp_path / "bad.alist"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=what) as err:
+        read_alist(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+
+
 def test_partition_round_trip(tmp_path):
     p = Partition((1, 2, 1, 3, 2))
     path = tmp_path / "part.txt"

@@ -152,6 +152,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="sample"):
             monte_carlo_average(validate(4, 2, 4), 0, seed=1)
 
+    def test_cap_checked_before_sampling(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an instance was sampled")
+
+        monkeypatch.setattr(oracle, "sample_with_rng", draw)
+        with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
+            monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
+
     def test_deterministic(self):
         p = validate(4, 2, 4)
         a = monte_carlo_average(p, 500, seed=9)
