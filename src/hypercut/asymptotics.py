@@ -28,9 +28,12 @@ ln u* = ((delta-1)/delta)*logit(mu1).  Every routine here is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .core import _bipartition_ratio
 
 _LN2 = math.log(2.0)
 _NEG_INF = float("-inf")
@@ -94,7 +97,7 @@ def _degrees(ensemble) -> tuple[int, int]:
         gamma, delta = ensemble
     else:
         gamma, delta = ensemble.gamma, ensemble.delta
-    gamma, delta = int(gamma), int(delta)
+    gamma, delta = operator.index(gamma), operator.index(delta)
     if gamma < 1 or delta < 1:
         raise ValueError("gamma and delta must be at least 1")
     return gamma, delta
@@ -256,8 +259,7 @@ def growth_rate(sigma: float, mu1: float, ensemble) -> GrowthPoint:
     return GrowthPoint(sigma, mu1, value, u_star)
 
 
-def balanced_growth_rate(sigma: float, epsilon: float,
-                         ensemble) -> GrowthPoint:
+def balanced_growth_rate(sigma: float, epsilon, ensemble) -> GrowthPoint:
     """Growth rate of eps-balanced bipartitions: max over allowed mu1.
 
     g is symmetric in mu1 <-> 1-mu1, so the maximum is taken over the half
@@ -280,11 +282,13 @@ def balanced_growth_rate(sigma: float, epsilon: float,
     bound as the boundary nears.  An undecidable (NaN) slope raises
     RuntimeError naming the mu1 bracket and the guard grid.
 
+    eps is read exactly, as the exact tables read it (a float, ``Fraction``,
+    int or string such as ``"1/10"``), must lie in [0, 1), and is then
+    rounded to the nearest float; a finite float comes back unchanged.
     eps = 0 short-circuits to the single point mu1 = 1/2.  The returned
-    point carries eps in its ``mu1`` field.
+    point carries the float eps in its ``mu1`` field.
     """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    epsilon = float(_bipartition_ratio(epsilon))
     if epsilon == 0.0:
         g = growth_rate(sigma, 0.5, ensemble)
         return GrowthPoint(sigma, 0.0, g.value, g.u_star)
@@ -355,7 +359,7 @@ def peak_growth(mu1: float, ensemble) -> float:
     return gamma / delta * binary_entropy(mu1)
 
 
-def typical_min_cutsize(epsilon: float, ensemble) -> float:
+def typical_min_cutsize(epsilon, ensemble) -> float:
     """Smallest relative cutsize where the balanced rate turns positive.
 
     Balanced bipartitions with smaller relative cutsize are exponentially
@@ -364,15 +368,17 @@ def typical_min_cutsize(epsilon: float, ensemble) -> float:
     ``_SIGMA_TOL``.  Needs gamma >= 2, delta >= 3 (the regime where the rate
     starts <= 0 and the peak is positive, so a root exists); a scan without
     a sign change raises RuntimeError carrying the scanned (sigma, rate)
-    pairs as ``.grid``.
+    pairs as ``.grid``.  eps is read once, as ``balanced_growth_rate``
+    reads it.
     """
     gamma, delta = _degrees(ensemble)
     if gamma < 2 or delta < 3:
         raise ValueError("typical minimum cutsize needs gamma >= 2, delta >= 3")
+    eps = _bipartition_ratio(epsilon)
     top = peak_sigma(0.5, gamma)
 
     def rate(s: float) -> float:
-        return balanced_growth_rate(s, epsilon, ensemble).value
+        return balanced_growth_rate(s, eps, ensemble).value
 
     prev, sigma = 0.0, _SIGMA_STEP
     grid: list[tuple[float, float]] = []
@@ -401,29 +407,29 @@ def typical_min_cutsize(epsilon: float, ensemble) -> float:
     return 0.5 * (lo + hi)
 
 
-def verdict(ensemble, epsilon: float = 0.0) -> VerdictRow:
+def verdict(ensemble, epsilon=0) -> VerdictRow:
     """Necessary condition for 2-way parallel encodability, typically.
 
     Compares the design rate 1 - gamma/delta against the typical minimum
     cutsize: when the design rate falls short, almost every instance of the
     ensemble fails the cutsize bound and cannot be block-diagonalized into
-    two parallel systems.
+    two parallel systems.  eps is read as ``typical_min_cutsize`` reads it.
     """
     gamma, delta = _degrees(ensemble)
     return VerdictRow(gamma, delta,
                       typical_min_cutsize(epsilon, (gamma, delta)))
 
 
-def curve(ensemble, epsilon: float,
+def curve(ensemble, epsilon,
           sigma_grid: Iterable[float]) -> list[GrowthPoint]:
-    """Balanced growth rate sampled on a sigma grid (for plotting/CSV)."""
-    points = []
-    for s in sigma_grid:
-        s = float(s)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"sigma grid value {s} outside [0, 1]")
-        points.append(balanced_growth_rate(s, epsilon, ensemble))
-    return points
+    """Balanced growth rate sampled on a sigma grid (for plotting/CSV).
+
+    eps is read once, as ``balanced_growth_rate`` reads it; a grid value
+    outside [0, 1] raises ValueError from ``growth_rate``.
+    """
+    eps = _bipartition_ratio(epsilon)
+    return [balanced_growth_rate(float(s), eps, ensemble)
+            for s in sigma_grid]
 
 
 def curve_csv_text(points: Sequence[GrowthPoint]) -> str:

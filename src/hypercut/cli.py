@@ -34,18 +34,10 @@ def _outpath(arg: str | None) -> Path | None:
     return path
 
 
-def _float_eps(arg: str) -> float:
-    eps = as_ratio(arg)
-    try:  # the asymptotic layer rejects inf as it rejects any eps >= 1
-        return float(eps)
-    except OverflowError:
-        return float("inf")
-
-
 def cmd_dist(args) -> int:
     params = validate(args.n, args.gamma, args.delta)
-    eps = None if args.epsilon is None else as_ratio(args.epsilon)
-    if eps is not None:
+    eps = args.epsilon
+    if eps is not None:  # checked before the table is built
         lo, hi = exact_distribution.balanced_first_part_range(params.m, eps)
     table = exact_distribution.cutsize_table(params)  # checks total = 2^m
     print(f"ensemble: n={params.n} gamma={params.gamma} delta={params.delta} "
@@ -94,8 +86,7 @@ def cmd_growth(args) -> int:
         raise ValueError(f"grid step must be 1/k for a positive integer k, "
                          f"got {args.step}")
     grid = [i / points for i in range(points + 1)]
-    pts = asymptotics.curve((args.gamma, args.delta),
-                            _float_eps(args.epsilon), grid)
+    pts = asymptotics.curve((args.gamma, args.delta), args.epsilon, grid)
     out = _outpath(args.out)
     if out is not None:
         asymptotics.write_curve_csv(pts, out)
@@ -108,8 +99,8 @@ def cmd_growth(args) -> int:
 def cmd_tables(args) -> int:
     gammas = [int(x) for x in args.gamma.split(",")]
     deltas = [int(x) for x in args.delta.split(",")]
-    eps = _float_eps(args.epsilon)
-    rows = [asymptotics.verdict((g, d), eps) for g in gammas for d in deltas]
+    rows = [asymptotics.verdict((g, d), args.epsilon)
+            for g in gammas for d in deltas]
     print("gamma delta design_rate beta_star satisfied margin")
     for r in rows:
         print(f"{r.gamma:5d} {r.delta:5d} {r.design_rate:11.4f} "

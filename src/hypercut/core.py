@@ -24,6 +24,7 @@ The minimum-cut search keeps its cut incrementally, as a bitmask of nets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -41,27 +42,41 @@ class CapExceeded(ValueError):
 def as_ratio(value: int | float | str | Fraction) -> Fraction:
     """Read an imbalance ratio as an exact, non-negative ``Fraction``.
 
-    Floats go through their shortest decimal representation, so ``0.2``
-    means exactly 1/5 rather than the nearest binary double.  Strings are
-    parsed directly (``"1/3"``, ``"0.05"``, ``"2e-2"`` all work).  Every
-    exact epsilon is read here, in the library and on the command line, so
-    the errors are the same in both: ``ValueError`` for a non-finite float,
-    a zero denominator (``"1/0"``) or a negative ratio, ``TypeError`` for
-    any other type.
+    A ``Fraction`` is returned as it is.  Floats go through their shortest
+    decimal representation, so ``0.2`` means exactly 1/5 rather than the
+    nearest binary double, and ``float(as_ratio(x)) == x`` for every finite
+    float.  Strings are parsed directly (``"1/3"``, ``"0.05"``, ``"2e-2"``
+    all work).  Every epsilon is read here, in the library and on the
+    command line, so the errors are the same in both: ``ValueError`` for a
+    non-finite float, a zero denominator (``"1/0"``) or a negative ratio,
+    ``TypeError`` for any other type.
     """
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"ratio must be finite, got {value!r}")
-        value = str(value)
-    elif not isinstance(value, (int, str, Fraction)):
-        raise TypeError(f"cannot interpret {value!r} as a ratio")
-    try:
-        eps = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"epsilon {value!r} has a zero denominator") \
-            from None
-    if eps < 0:
+    if isinstance(value, Fraction):
+        eps = value
+    else:
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"ratio must be finite, got {value!r}")
+            value = str(value)
+        elif not isinstance(value, (int, str)):
+            raise TypeError(f"cannot interpret {value!r} as a ratio")
+        try:
+            eps = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"epsilon {value!r} has a zero denominator") \
+                from None
+    if eps.numerator < 0:
         raise ValueError("epsilon must be non-negative")
+    return eps
+
+
+def _bipartition_ratio(epsilon) -> Fraction:
+    """``as_ratio`` plus the bipartition bound eps < 1: at eps >= 1 a part
+    of an eps-balanced bipartition may be empty.  Both the exact and the
+    asymptotic layer read their eps here."""
+    eps = as_ratio(epsilon)
+    if eps.numerator >= eps.denominator:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     return eps
 
 
@@ -166,18 +181,20 @@ class Partition:
     """Labeled K-way partition: one part label in [1, k] per vertex.
 
     Every part must be non-empty; a bipartition and its swap are distinct.
+    Labels and ``k`` must be integers (``TypeError`` otherwise, never a
+    truncation).
     """
 
     labels: tuple[int, ...]
     k: int | None = None
 
     def __post_init__(self):
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(map(operator.index, self.labels))
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("partition needs at least one vertex")
-        k = self.k if self.k is not None else max(labels)
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", max(labels) if self.k is None
+                           else operator.index(self.k))
         if self.k < 1:
             raise ValueError("part count must be at least 1")
         seen = set()

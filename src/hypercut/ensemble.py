@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -31,8 +32,9 @@ class EnsembleParams:
     """Parameters (n, gamma, delta) and the values they fix: m = gamma*n/delta
     vertices and xi = gamma*n edge sockets.
 
-    The record checks its own inputs: n, gamma and delta must be at least 1
-    and delta must divide gamma*n (m must be an integer).
+    The record checks its own inputs: n, gamma and delta must be integers
+    (``TypeError`` otherwise, never a truncation), at least 1, and delta
+    must divide gamma*n (m must be an integer).
     """
 
     n: int
@@ -42,6 +44,8 @@ class EnsembleParams:
     xi: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "gamma", "delta"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.n, self.gamma, self.delta) < 1:
             raise ValueError("n, gamma, delta must all be at least 1")
         xi = self.gamma * self.n
@@ -53,13 +57,11 @@ class EnsembleParams:
 
 
 def validate(n: int, gamma: int, delta: int) -> EnsembleParams:
-    """Build the parameter record from integer-like inputs.
-
-    ``EnsembleParams`` checks socket balance.  A negative design rate
-    (delta < gamma) is legal but makes encodability verdicts vacuous, so it
-    only warns.
+    """Build the parameter record, which rejects non-integer inputs and
+    checks socket balance.  A negative design rate (delta < gamma) is legal
+    but makes encodability verdicts vacuous, so it only warns.
     """
-    params = EnsembleParams(int(n), int(gamma), int(delta))
+    params = EnsembleParams(n, gamma, delta)
     if params.delta < params.gamma:
         warnings.warn(f"design rate 1 - gamma/delta = 1 - {params.gamma}/"
                       f"{params.delta} is negative; encodability verdicts "

@@ -32,7 +32,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .core import CapExceeded, _max_part_size, as_ratio
+from .core import CapExceeded, _bipartition_ratio, _max_part_size
 from .ensemble import EnsembleParams
 
 _MAX_TABLE_N = 1000
@@ -156,10 +156,7 @@ def balanced_first_part_range(m: int, epsilon) -> tuple[int, int]:
     empty: odd m with eps = 0 admits no exactly balanced bipartition and
     yields (ceil(m/2), floor(m/2)).
     """
-    eps = as_ratio(epsilon)
-    if eps >= 1:  # as_ratio has rejected eps < 0
-        raise ValueError(f"need 0 <= eps < 1, got {eps}")
-    hi = _max_part_size(m, 2, eps)
+    hi = _max_part_size(m, 2, _bipartition_ratio(epsilon))
     return m - hi, hi
 
 

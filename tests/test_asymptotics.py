@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from hypercut.asymptotics import (GrowthPoint, VerdictRow,
                                   typical_min_cutsize, verdict,
                                   write_curve_csv, write_verdict_csv)
 from hypercut.ensemble import validate
+from hypercut.exact_distribution import balanced_first_part_range
 
 
 class TestBinaryEntropy:
@@ -391,3 +393,45 @@ class TestCurve:
         assert isinstance(p, GrowthPoint)
         assert p.sigma == 0.2 and p.mu1 == 0.0
         assert p.u_star == pytest.approx(1.0, abs=1e-9)
+
+
+class TestOneEpsilonReader:
+    """The asymptotic layer reads eps exactly as the exact tables do."""
+
+    @pytest.mark.parametrize("eps", ["1/0", -0.1, "-1/10", 1, "1e400",
+                                     float("nan"), object()])
+    def test_same_error_in_both_layers(self, eps):
+        errors = []
+        for call in (lambda: balanced_first_part_range(4, eps),
+                     lambda: balanced_growth_rate(0.1, eps, (2, 5))):
+            with pytest.raises((ValueError, TypeError)) as info:
+                call()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("compute", [
+        lambda eps: balanced_growth_rate(0.2, eps, (2, 5)),
+        lambda eps: typical_min_cutsize(eps, (2, 5)),
+        lambda eps: verdict((2, 5), eps),
+        lambda eps: curve((2, 5), eps, [0.0, 0.3, 0.6]),
+    ], ids=["balanced_growth_rate", "typical_min_cutsize", "verdict",
+            "curve"])
+    def test_exact_and_float_spellings_agree(self, compute):
+        results = [compute(eps) for eps in ("1/20", Fraction(1, 20), 0.05)]
+        assert results[0] == results[1] == results[2]
+
+    def test_curve_sigma_checked_by_growth_rate(self):
+        with pytest.raises(ValueError,
+                           match=r"sigma must lie in \[0, 1\], got 1\.2"):
+            curve((2, 4), 0.1, [0.5, 1.2])
+
+
+class TestIntegerDegrees:
+    @pytest.mark.parametrize("call", [
+        lambda: verdict((2.7, 5)),
+        lambda: growth_rate(0.1, 0.5, (2.9, 5)),
+        lambda: growth_rate(0.1, 0.5, (2, "5")),
+    ], ids=["verdict", "growth_rate", "string_delta"])
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()

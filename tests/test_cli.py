@@ -78,7 +78,8 @@ class TestDist:
         assert "no exactly balanced bipartition" in capsys.readouterr().out
 
     @pytest.mark.parametrize("eps, message", [
-        ("1", "need 0 <= eps < 1"), ("1/0", "'1/0' has a zero denominator")])
+        ("1", "epsilon must lie in [0, 1)"),
+        ("1/0", "'1/0' has a zero denominator")])
     def test_epsilon_checked_before_table(self, capsys, eps, message):
         assert run("dist", "-n", 4, "-g", 2, "-d", 4, "-e", eps) == 2
         captured = capsys.readouterr()
@@ -323,6 +324,42 @@ class TestSampleAndCheck:
         part.write_text("1\n2\n")
         assert run("check", "--alist", bad, "--partition", part) == 2
         assert ":3:" in capsys.readouterr().err
+
+
+class TestEpsilonAcrossSubcommands:
+    """Every subcommand reads -e with the one reader the library uses."""
+
+    BIPARTITION = {"dist": ("dist", "-n", 4, "-g", 2, "-d", 4),
+                   "growth": ("growth", "-g", 2, "-d", 5, "--step", 0.5),
+                   "tables": ("tables", "-g", 2, "-d", 5)}
+
+    def _commands(self, tmp_path):
+        alist, part = _identity_instance(tmp_path, (1, 2))
+        return {**self.BIPARTITION,
+                "check": ("check", "--alist", alist, "--partition", part)}
+
+    @pytest.mark.parametrize("command", ["dist", "growth", "tables", "check"])
+    def test_negative_rejected(self, tmp_path, capsys, command):
+        args = self._commands(tmp_path)[command]
+        assert run(*args, "--epsilon=-1/10") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: epsilon must be non-negative\n"
+
+    @pytest.mark.parametrize("command", ["dist", "growth", "tables"])
+    @pytest.mark.parametrize("eps", ["1", "1e400"])
+    def test_one_or_more_rejected_for_bipartitions(self, capsys, command,
+                                                   eps):
+        assert run(*self.BIPARTITION[command], "-e", eps) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: epsilon must lie in [0, 1), "
+                                f"got {eps}\n")
+
+    def test_check_accepts_one_or_more(self, tmp_path, capsys):
+        # eps >= 1 is a legal imbalance for K-way partitions
+        assert run(*self._commands(tmp_path)["check"], "-e", "3/2") == 0
+        assert "balanced (eps=3/2): yes" in capsys.readouterr().out
 
 
 class TestOracle:

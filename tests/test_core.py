@@ -235,6 +235,14 @@ class TestBalance:
         with pytest.raises(TypeError, match="cannot interpret"):
             as_ratio(value)
 
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_as_ratio_round_trips_floats(self, x):
+        assert float(as_ratio(x)) == x
+
+    def test_as_ratio_returns_a_fraction_as_is(self):
+        eps = Fraction(1, 20)
+        assert as_ratio(eps) is eps
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="zero denominator"):
             is_balanced(Partition((1, 2)), "1/0")
@@ -478,6 +486,13 @@ class TestPartition:
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError, match="parts must be non-empty"):
             Partition((1, 1, 3))
+
+    @pytest.mark.parametrize("labels, k", [((1.5, 2), None),
+                                           ((1, 2), 2.9),
+                                           (("1", "2"), None)])
+    def test_non_integers_rejected(self, labels, k):
+        with pytest.raises(TypeError):
+            Partition(labels, k)
 
     def test_sizes_and_members(self):
         p = Partition((2, 1, 2, 1, 2))

@@ -64,6 +64,14 @@ class TestValidate:
         assert repr(EnsembleParams(4, 2, 4)) == \
             "EnsembleParams(n=4, gamma=2, delta=4, m=2, xi=8)"
 
+    @pytest.mark.parametrize("build, args", [
+        (validate, (4.5, 2, 4)), (validate, ("4", 2, 4)),
+        (validate, (4, 2.0, 4)), (EnsembleParams, (4.5, 2, 3)),
+        (EnsembleParams, (4, 2, 4.0))])
+    def test_non_integers_rejected(self, build, args):
+        with pytest.raises(TypeError):
+            build(*args)
+
     def test_record_rejects_indivisible(self):
         with pytest.raises(ValueError, match=re.escape(
                 "gamma*n must be divisible by delta (gamma*n = 6, "
