@@ -38,9 +38,6 @@ from .core import _bipartition_ratio
 _LN2 = math.log(2.0)
 _NEG_INF = float("-inf")
 
-#: |t| beyond which p and q are evaluated by their leading-term series.
-_TAIL = 600.0
-
 #: Evenly spaced points of the guard grid over mu1 in [1/2, (1+eps)/2].
 _GUARD_POINTS = 8
 #: Width of the mu1 bracket at which a slope bisection stops.  The value
@@ -115,12 +112,8 @@ def binary_entropy(x: float) -> float:
 def _log2_p(t: float, gamma: int) -> float:
     """log2 of p(e^t) with p(u) = (1+u)^gamma - 1 - u^gamma, gamma >= 2."""
     if t <= 0.0:
-        if t < -_TAIL:
-            return math.log2(gamma) + t / _LN2  # p ~ gamma*u
         u = math.exp(t)
         return math.log2(math.expm1(gamma * math.log1p(u)) - u ** gamma)
-    if t > _TAIL:
-        return math.log2(gamma) + (gamma - 1) * t / _LN2  # p ~ gamma*u^(g-1)
     w = math.exp(-t)
     inner = math.expm1(gamma * math.log1p(w)) - w ** gamma
     return gamma * t / _LN2 + math.log2(inner)
@@ -137,14 +130,10 @@ def _log2_q(t: float, gamma: int) -> float:
 def _ratio_p(t: float, gamma: int) -> float:
     """u p'(u)/p(u) at u = e^t; moves from 1 to gamma-1 as t grows."""
     if t <= 0.0:
-        if t < -_TAIL:
-            return 1.0
         u = math.exp(t)
         num = gamma * u * ((1.0 + u) ** (gamma - 1) - u ** (gamma - 1))
         den = math.expm1(gamma * math.log1p(u)) - u ** gamma
         return num / den
-    if t > _TAIL:
-        return gamma - 1.0
     w = math.exp(-t)
     num = gamma * math.expm1((gamma - 1) * math.log1p(w))
     den = math.expm1(gamma * math.log1p(w)) - w ** gamma
@@ -183,47 +172,39 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
         return (sigma * _log2_p(t, gamma) + (1.0 - sigma) * _log2_q(t, gamma)
                 - mu1 * gamma * t / _LN2)
 
-    t_star = None
     d0 = dphi(0.0)
     if abs(d0) < _SLOPE_TOL:
-        t_star = 0.0
-    else:
-        # Step downhill from t = 0, doubling the step, until the slope
-        # changes sign; the bracket is [far, 0] or [0, far].
-        step = -1.0 if d0 > 0.0 else 1.0
-        far = step
-        while (d := dphi(far)) * step <= 0.0:
-            if abs(d) < _SLOPE_TOL:
-                t_star = far
-                break
-            step *= 2.0
-            far += step
-            if abs(far) > 2.0 ** 40:
-                raise RuntimeError(f"bracketing ran away: t={far}, "
-                                   f"dphi={d}")
-        lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
+        return 1.0, phi(0.0)
+    # Step downhill from t = 0, doubling the step, until the slope changes
+    # sign; the bracket is [far, 0] or [0, far].
+    step = -1.0 if d0 > 0.0 else 1.0
+    far = step
+    while (d := dphi(far)) * step <= 0.0:
+        if abs(d) < _SLOPE_TOL:
+            return math.exp(far), phi(far)
+        step *= 2.0
+        far += step
+        if abs(far) > 2.0 ** 40:
+            raise RuntimeError(f"bracketing ran away: t={far}, dphi={d}")
+    lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
 
-    if t_star is None:
-        # dphi(lo) < 0 < dphi(hi); dphi is nondecreasing, so bisect it.
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            dm = dphi(mid)
-            if abs(dm) < _SLOPE_TOL:
-                t_star = mid
-                break
-            if dm > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-                break
-        if t_star is None:
-            t_star = 0.5 * (lo + hi)
-            if abs(dphi(t_star)) >= _SLOPE_TOL:
-                raise RuntimeError(
-                    f"stationarity refinement stalled: bracket "
-                    f"[{lo}, {hi}], slope {dphi(t_star)}")
-    return math.exp(t_star), phi(t_star)
+    # dphi(lo) < 0 < dphi(hi); dphi is nondecreasing, so bisect it.
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        dm = dphi(mid)
+        if abs(dm) < _SLOPE_TOL:
+            return math.exp(mid), phi(mid)
+        if dm > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    if abs(dphi(mid)) >= _SLOPE_TOL:
+        raise RuntimeError(f"stationarity refinement stalled: bracket "
+                           f"[{lo}, {hi}], slope {dphi(mid)}")
+    return math.exp(mid), phi(mid)
 
 
 def growth_rate(sigma: float, mu1: float, ensemble) -> GrowthPoint:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +34,12 @@ from typing import Iterable, Iterator, Sequence
 #: Default ceiling on the number of enumerated items (assignments K^m,
 #: socket permutations xi!, ...) accepted by exhaustive routines.
 DEFAULT_ENUM_CAP = 1 << 24
+
+#: Largest |decimal exponent| ``as_ratio`` reads in a string; the parse time
+#: of ``Fraction`` grows faster than the exponent.  The same bound as Python's
+#: limit on the digits of an integer string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 class CapExceeded(ValueError):
@@ -48,8 +55,9 @@ def as_ratio(value: int | float | str | Fraction) -> Fraction:
     float.  Strings are parsed directly (``"1/3"``, ``"0.05"``, ``"2e-2"``
     all work).  Every epsilon is read here, in the library and on the
     command line, so the errors are the same in both: ``ValueError`` for a
-    non-finite float, a zero denominator (``"1/0"``) or a negative ratio,
-    ``TypeError`` for any other type.
+    non-finite float, a zero denominator (``"1/0"``), a decimal exponent
+    beyond +-4300 (``"1e-5000"``) or a negative ratio, ``TypeError`` for any
+    other type.
     """
     if isinstance(value, Fraction):
         eps = value
@@ -58,7 +66,14 @@ def as_ratio(value: int | float | str | Fraction) -> Fraction:
             if not math.isfinite(value):
                 raise ValueError(f"ratio must be finite, got {value!r}")
             value = str(value)
-        elif not isinstance(value, (int, str)):
+        elif isinstance(value, str):
+            exp = _EXPONENT.search(value)
+            digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+            if (len(digits) > len(str(_MAX_EXPONENT))
+                    or int(digits or 0) > _MAX_EXPONENT):
+                raise ValueError(f"epsilon {value!r} has a decimal exponent "
+                                 f"beyond +-{_MAX_EXPONENT}")
+        elif not isinstance(value, int):
             raise TypeError(f"cannot interpret {value!r} as a ratio")
         try:
             eps = Fraction(value)
@@ -414,7 +429,8 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     Still exponential, so it is only usable at desk scale; ``cap`` gates the
     nominal parts^m assignments, not the labelings visited.  Raises
     ValueError before searching when no eps-balanced partition exists
-    (parts * max part size < m).
+    (parts * max part size < m); that is checked before the cap, so a
+    ``CapExceeded`` always names a K the search would otherwise run.
     """
     m = h.vertex_count
     if parts < 1:
@@ -422,12 +438,12 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     if parts > m:
         raise ValueError(f"no partition into {parts} non-empty parts exists "
                          f"for {m} vertices")
-    if parts ** m > cap:
-        raise CapExceeded(f"{parts}^{m} assignments exceed cap {cap}")
     limit = _max_part_size(m, parts, epsilon)
     if parts * limit < m:
         raise ValueError(f"no {epsilon}-balanced partition into {parts} "
                          f"non-empty parts exists for {m} vertices")
+    if parts ** m > cap:
+        raise CapExceeded(f"{parts}^{m} assignments exceed cap {cap}")
 
     # Net j is cut once a vertex of its support takes a part other than the
     # one its first vertex opened it in.  Per vertex, as net bitmasks: the
@@ -482,8 +498,11 @@ def _min_cut_scan(mat: BinaryMatrix, epsilon, cap: int
                   ) -> Iterator[tuple[int, int | None, int]]:
     """Yield (K, min cutsize over eps-balanced K-way partitions or None if
     there is none, largest K' <= K with n - m >= min cutsize, or 1) for
-    K = 1..m.  Raises ``CapExceeded`` at the first K whose K^m assignments
-    exceed ``cap``, as every later K would too."""
+    K = 1..m.  Raises ``CapExceeded`` at the first K that has an
+    eps-balanced partition and whose K^m assignments exceed ``cap``, as
+    every later K would too.  eps is read once, before K = 1, so a bad eps
+    raises ``as_ratio``'s error instead of reading as "no partition"."""
+    epsilon = as_ratio(epsilon)
     h = _nonempty_nets(mat)
     slack = mat.cols - mat.rows
     best = 1

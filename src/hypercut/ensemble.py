@@ -102,17 +102,18 @@ def sample_with_rng(params: EnsembleParams, rng: random.Random) -> Hypergraph:
     return _instance(params, perm)
 
 
-def enumerate_all(params: EnsembleParams, cap: int = DEFAULT_ENUM_CAP):
+def enumerate_all(params: EnsembleParams):
     """Yield the instance of every socket permutation, in lexicographic order.
 
     Distinct permutations can produce equal hypergraphs; duplicates are
     *not* removed, so averaging a statistic over this stream and dividing
-    by xi! is the exact ensemble average.
+    by xi! is the exact ensemble average.  Raises ``CapExceeded`` before
+    the first instance when xi! exceeds ``DEFAULT_ENUM_CAP``.
     """
     total = math.factorial(params.xi)
-    if total > cap:
+    if total > DEFAULT_ENUM_CAP:
         raise CapExceeded(f"xi! = {params.xi}! = {total} permutations "
-                          f"exceed cap {cap}")
+                          f"exceed cap {DEFAULT_ENUM_CAP}")
     for perm in itertools.permutations(range(params.xi)):
         yield _instance(params, perm)
 

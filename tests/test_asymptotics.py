@@ -83,6 +83,27 @@ class TestInnerInfimum:
     def test_golden_minimizer(self, sigma, mu1, gamma, expect):
         assert inner_infimum(sigma, mu1, gamma) == expect
 
+    def test_evaluators_stay_in_closed_form_range(self, monkeypatch):
+        # p and q have no series tails, and e^-|t| underflows past |t| ~ 745.
+        # Even at these extremes (subnormal mu1, sigma one ulp below
+        # gamma*min(mu1, 1-mu1), gamma up to 12) no evaluated |t| passes 600.
+        seen = []
+        for name in ("_log2_p", "_log2_q", "_ratio_p", "_ratio_q"):
+            def traced(t, gamma, f=getattr(asymptotics, name)):
+                seen.append(abs(t))
+                return f(t, gamma)
+            monkeypatch.setattr(asymptotics, name, traced)
+        small = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-150, 1e-12)
+        mu1s = (small + (0.25, 0.5, 1.0 - 1e-6, 1.0 - 1e-12)
+                + (math.nextafter(1.0, 0.0),))
+        for gamma in range(2, 13):
+            for mu1 in mu1s:
+                top = min(gamma * min(mu1, 1.0 - mu1), 1.0)
+                for sigma in (5e-324, top / 2, math.nextafter(top, 0.0)):
+                    _, value = inner_infimum(sigma, mu1, gamma)
+                    assert math.isfinite(value)
+        assert max(seen) <= 600.0
+
     def test_stationarity_residual(self):
         for gamma in (2, 3, 5):
             for mu1 in (0.2, 0.35, 0.5, 0.65):

@@ -244,14 +244,15 @@ class TestSampleAndCheck:
 
     def test_check_reports_solved_degrees_at_cap(self, tmp_path, capsys):
         alist, part = _identity_instance(tmp_path, (1, 1, 2, 2))
-        # 2^4 = 16 assignments fit the cap, 3^4 = 81 do not.
+        # 2^4 = 16 assignments fit the cap; K = 3 has no 0-balanced
+        # partition of 4 vertices, so the budget stop is at 4^4 = 256.
         assert run("check", "--alist", alist, "--partition", part,
                    "-e", "0", "--cap", 16) == 0
         out = capsys.readouterr().out
         assert "min cutsize over eps-balanced 2-way partitions: 0" in out
-        assert "brute force stopped at K = 3: 3^4 assignments exceed cap 16" \
+        assert "brute force stopped at K = 4: 4^4 assignments exceed cap 16" \
             in out
-        assert "max parallel degree over K <= 2: 2" in out
+        assert "max parallel degree over K <= 3: 2" in out
 
     def test_check_scans_each_k_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -308,7 +309,8 @@ class TestSampleAndCheck:
 
     @pytest.mark.parametrize("eps, message", [
         ("1/0", "epsilon '1/0' has a zero denominator"),
-        ("-0.1", "epsilon must be non-negative")])
+        ("-0.1", "epsilon must be non-negative"),
+        ("1e-5000", "epsilon '1e-5000' has a decimal exponent beyond +-4300")])
     def test_check_bad_epsilon_exit_2(self, tmp_path, capsys, eps, message):
         alist, part = _identity_instance(tmp_path, (1, 2))
         assert run("check", "--alist", alist, "--partition", part,

@@ -239,6 +239,15 @@ class TestBalance:
     def test_as_ratio_round_trips_floats(self, x):
         assert float(as_ratio(x)) == x
 
+    @pytest.mark.parametrize("value", ["1e-4301", "1e+5000", "2E-0004301"])
+    def test_as_ratio_bounds_the_decimal_exponent(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon {value!r} has a decimal exponent beyond +-4300")):
+            as_ratio(value)
+
+    def test_as_ratio_reads_the_largest_exponent_exactly(self):
+        assert as_ratio("1e-4300") == Fraction(1, 10 ** 4300)
+
     def test_as_ratio_returns_a_fraction_as_is(self):
         eps = Fraction(1, 20)
         assert as_ratio(eps) is eps
@@ -448,6 +457,13 @@ class TestMinCutsizeBruteforce:
         with pytest.raises(CapExceeded):
             min_cutsize_bruteforce(h, 2, 0, cap=10)
 
+    def test_feasibility_checked_before_cap(self):
+        # 3 parts of at most floor(4/3) = 1 vertex cannot hold 4, so no
+        # budget stop is reported for a K the search would never run
+        with pytest.raises(ValueError, match="no 0-balanced") as info:
+            min_cutsize_bruteforce(Hypergraph(4, ((0, 1),)), 3, 0, cap=1)
+        assert not isinstance(info.value, CapExceeded)
+
     def test_monotone_in_parts(self):
         h = Hypergraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
         cuts = [min_cutsize_bruteforce(h, k, 1)[0] for k in (1, 2, 3, 4)]
@@ -477,8 +493,28 @@ class TestMaxParallelDegree:
         mat = BinaryMatrix.from_columns([(0,), (), (1,)], 2)
         assert max_parallel_degree(mat, 0) == 2
 
+    @pytest.mark.parametrize("eps", ["1/0", -0.1, "abc", float("nan"),
+                                     float("inf")])
+    def test_bad_epsilon_raises(self, eps):
+        # read once before K = 1, not taken as "no balanced partition"
+        mat = BinaryMatrix(4, 6, frozenset(
+            [(i, i) for i in range(4)] + [(0, 4), (1, 4), (2, 5), (3, 5)]))
+        assert max_parallel_degree(mat, 0) == 4
+        with pytest.raises(ValueError) as expected:
+            as_ratio(eps)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            max_parallel_degree(mat, eps)
+
 
 class TestPartition:
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Partition(())
+
+    def test_zero_parts_rejected(self):
+        with pytest.raises(ValueError, match="part count must be at least 1"):
+            Partition((1,), k=0)
+
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="outside"):
             Partition((1, 3), 2)

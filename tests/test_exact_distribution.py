@@ -76,6 +76,10 @@ class TestConstellationCoeff:
         with pytest.raises(ValueError):
             constellation_coeff(2, 5, 4, 0)
 
+    def test_gamma_below_one_rejected(self):
+        with pytest.raises(ValueError, match="gamma must be at least 1"):
+            constellation_coeff(0, 0, 1, 0)
+
     @given(st.integers(1, 4), st.data())
     @settings(max_examples=60)
     def test_matches_naive_expansion(self, gamma, data):
@@ -150,6 +154,12 @@ class TestCutsizeTable:
         for m1 in (-1, 3):
             with pytest.raises(KeyError):
                 table.row_sum(m1)
+
+    def test_never_equal_to_another_type(self):
+        # __eq__ returns NotImplemented, so == falls back to identity
+        table = cutsize_table(validate(4, 2, 4))
+        assert (table == "x") is False
+        assert table != "x"
 
     def test_budget_guard(self):
         with pytest.raises(CapExceeded, match="budget 1000"):
