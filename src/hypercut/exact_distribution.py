@@ -10,11 +10,16 @@ with p(u) = (1+u)^gamma - 1 - u^gamma enumerating the active-socket patterns
 of a cut net and q(u) = 1 + u^gamma those of an uncut one, and the value is
 zero whenever s > delta*m1 or s > delta*(m - m1).
 
-Every coefficient comes from one kernel.  ``_cut_powers`` walks the powers
-p^s by one multiplication with p each, and ``_coeff`` expands q^t by the
-binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k -
-gamma*r)).  A full table walks the powers once; a single cell walks them up
-to its s.  Coefficients are arbitrary-precision integers.
+A full table walks G_s = p^s * q^(n-s) itself, row to row.  G_0 = q^n
+has C(n, r) at u^(gamma*r); dividing by q = 1 + u^gamma is exact while
+s < n, and multiplying by p gives G_(s+1) = (G_s / q) * p.  Each step costs
+O(gamma^2 * n) additions of big integers and small multiples of them, and no
+product of two big integers.  A single cell instead walks the powers p^s up
+to its s (``_cut_powers``) and expands q^t by the binomial theorem,
+coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k - gamma*r)), so it does
+not pay for G_0 ... G_s; the two paths check each other in the tests.  They
+share one multiply-by-p step.  Coefficients are arbitrary-precision
+integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
@@ -26,6 +31,7 @@ row is asked for; the log2 evaluator, the one float path, logs both parts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -38,25 +44,33 @@ from .ensemble import EnsembleParams
 _MAX_TABLE_N = 1000
 
 
+def _times_p(poly: list[int], gamma: int) -> list[int]:
+    """Coefficient list of poly(u) * p(u).
+
+    p has the gamma - 1 terms C(gamma, j) u^j, 0 < j < gamma (a degree-gamma
+    net is cut iff 1 to gamma-1 of its sockets are active), so for gamma = 1
+    it is zero and the product is empty.
+    """
+    out = [0] * (len(poly) + gamma - 1) if gamma > 1 else []
+    for j in range(1, gamma):
+        c = math.comb(gamma, j)
+        for i, a in enumerate(poly, j):
+            out[i] += c * a
+    return out
+
+
 def _cut_powers(gamma: int) -> Iterator[list[int]]:
     """Coefficient lists of p(u)^s for s = 0, 1, 2, ...
 
     Entry i of each list is the coefficient of u^i and the last entry is
-    nonzero.  p has the gamma - 1 terms C(gamma, j) u^j, 0 < j < gamma (a
-    degree-gamma net is cut iff 1 to gamma-1 of its sockets are active), so
-    for gamma = 1 it is zero: p^0 = [1] and every later power is empty.
+    nonzero; for gamma = 1, p^0 = [1] and every later power is empty.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    terms = [(j, math.comb(gamma, j)) for j in range(1, gamma)]
     power = [1]
     while True:
         yield power
-        nxt = [0] * (len(power) + gamma - 1) if terms else []
-        for j, c in terms:
-            for i, a in enumerate(power, j):
-                nxt[i] += c * a
-        power = nxt
+        power = _times_p(power, gamma)
 
 
 def _cut_power(gamma: int, s: int) -> list[int]:
@@ -70,6 +84,25 @@ def _binomial_row(t: int) -> list[int]:
     for r in range(t):
         row.append(row[-1] * (t - r) // (r + 1))
     return row
+
+
+def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
+    """Coefficient lists of G_s = p(u)^s * q(u)^(n-s) for s = 0, ..., n.
+
+    Entry i is the coefficient of u^i.  G_s has degree gamma*n - s, so its
+    list ends there, and its entries below u^s are zero.  G_(s+1) is
+    (G_s / q) * p, where the quotient H by q = 1 + u^gamma is the running
+    difference H[k] = G[k] - H[k - gamma], exact while s < n.
+    """
+    prod = [0] * (gamma * n + 1)
+    prod[::gamma] = _binomial_row(n)  # q^n
+    for _ in range(n):
+        yield prod
+        quot = prod[:len(prod) - gamma]
+        for k in range(gamma, len(quot)):
+            quot[k] -= quot[k - gamma]
+        prod = _times_p(quot, gamma)
+    yield prod
 
 
 def _coeff(power: list[int], gamma: int, row: list[int], k: int) -> int:
@@ -102,10 +135,16 @@ def _numerators(params: EnsembleParams, s: int, power: list[int],
     return nums
 
 
-def _ratio_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
-    """sum(a / b) as one reduced Fraction over the common denominator."""
+def _ratio_sums(rows: Iterable[Sequence[int]],
+                dens: Sequence[int]) -> list[Fraction]:
+    """sum(a / b) over each row as one reduced Fraction.
+
+    The common denominator of ``dens`` and its multipliers are computed once
+    for all rows.
+    """
     lcm = math.lcm(*dens)
-    return Fraction(sum(a * (lcm // b) for a, b in zip(nums, dens)), lcm)
+    scale = [lcm // b for b in dens]
+    return [Fraction(sum(map(operator.mul, row, scale)), lcm) for row in rows]
 
 
 def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
@@ -167,7 +206,8 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
     Walks p^s and builds the C(n-s, .) row once for the whole range.
     """
     lo, hi = balanced_first_part_range(params.m, epsilon)
-    return _ratio_sum(*_cells(params, s, range(lo, hi + 1)))
+    nums, dens = _cells(params, s, range(lo, hi + 1))
+    return _ratio_sums([nums], dens)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +251,8 @@ class CutsizeTable:
     def balanced_distribution(self, epsilon) -> dict[int, Fraction]:
         """Cutsize distribution of eps-balanced bipartitions, per s."""
         lo, hi = balanced_first_part_range(self.params.m, epsilon)
-        dens = self.den[lo:hi + 1]
-        return {s: _ratio_sum(row[lo:hi + 1], dens)
-                for s, row in enumerate(self.num)}
+        return dict(enumerate(_ratio_sums(
+            (row[lo:hi + 1] for row in self.num), self.den[lo:hi + 1])))
 
     def __eq__(self, other) -> bool:
         """Equal iff both tables hold the same rational in every cell."""
@@ -263,27 +302,34 @@ class CutsizeTable:
 def cutsize_table(params: EnsembleParams) -> CutsizeTable:
     """Exact table of avg(s, m1) for every cell; identities are verified.
 
-    Walks the powers p^s once, builds one binomial row C(n-s, .) per s, and
-    takes every cell's coefficient from them with the same kernel that
-    ``constellation_coeff`` uses.  Cells stay integer numerators over
+    Walks G_s = p^s * q^(n-s) from s = 0 to n (``_cut_products``) and reads
+    row s as C(m, m1) * C(n, s) * G_s[delta*m1]; an index past the end of
+    G_s gives 0.  The support needs no test of its own, because G_s is zero
+    below u^s and above u^(gamma*n - s).  Cells stay integer numerators over
     C(delta*m, delta*m1); no Fraction is built here.
 
-    Cost, validation included (one run each, Python 3.11 on a 2-core
-    Xeon VM; time and peak RSS):
+    Cost, validation included (Python 3.11 on a 2-core Xeon VM, one fresh
+    interpreter per table; time, and peak RSS at n = 1000):
 
-        (gamma, delta)   n = 400    n = 1000           n = 2000
-        (2, 4)           0.40 s     7.0 s,  72 MiB     69 s,  333 MiB
-        (3, 6)           1.20 s     34 s,  157 MiB     704 s, 985 MiB
+        (gamma, delta)   n = 400    n = 1000
+        (2, 4)           0.10 s     1.2-1.4 s,  60 MiB
+        (3, 6)           0.33 s     3.7-4.1 s, 147 MiB
+        (4, 8)           0.58 s     7.2-7.7 s, 193 MiB
 
-    so ``_MAX_TABLE_N`` stops at n = 1000, where a (3, 6) table takes
-    about half a minute.
+    ``_MAX_TABLE_N`` stops at n = 1000.  Memory grows with the cube of n,
+    because the cells are O(n * m) integers of O(gamma * n) digits: a
+    (2000, 2, 4) table takes 12 s and 321 MiB.
     """
     if params.n > _MAX_TABLE_N:
         raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
                           f"{_MAX_TABLE_N}")
     n, m, g, d = params.n, params.m, params.gamma, params.delta
-    num = [_numerators(params, s, power, range(m + 1))
-           for s, power in zip(range(n + 1), _cut_powers(g))]
+    cols = [(math.comb(m, m1), d * m1) for m1 in range(m + 1)]
+    num = []
+    for s, prod in enumerate(_cut_products(n, g)):
+        c_ns = math.comb(n, s)
+        num.append([c * c_ns * prod[k] if k < len(prod) else 0
+                    for c, k in cols])
     den = [math.comb(d * m, d * m1) for m1 in range(m + 1)]
     table = CutsizeTable(params, num, den)
     table.validate()
@@ -306,7 +352,9 @@ def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:
     lines = ["s,m1,A_num,A_den"]
     for s, row in enumerate(table.num):
         for m1, (a, b) in enumerate(zip(row, table.den)):
-            if suppress_zeros and a == 0:
+            if a == 0:
+                if not suppress_zeros:
+                    lines.append(f"{s},{m1},0,1")
                 continue
             g = math.gcd(a, b)
             lines.append(f"{s},{m1},{a // g},{b // g}")

@@ -1,6 +1,7 @@
 import decimal
 import hashlib
 import math
+import random
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -170,6 +171,8 @@ class TestCutsizeTable:
          "df77c3da8183a34023aa24c9a6bf2d728a222aebea6a694d78dbc1a2274c3f1c"),
         (48, 3, 6,
          "355db24c559313e745268bb605c546517bf22d0aa2b69b1d399c3d72bcc63ffb"),
+        (100, 4, 8,
+         "8b8f0193b349bb3f1726100d4ecb9ba45d59a7de7ab1f0ec9f0db5a18333d278"),
     ])
     def test_golden_csv_digest(self, tmp_path, n, gamma, delta, digest):
         # The digest pins every digit of every cell; cells here run to
@@ -183,6 +186,8 @@ class TestCutsizeTable:
          "934ab8b7e85fee6deaac2e74585f40d1ed03e8380f1d6695fb6e6aa854142475"),
         (48, 3, 6,
          "2eef7dfcfdcb34ea8a9a2014f5b57cf0502694ffa68967b83f95106984b20000"),
+        (100, 4, 8,
+         "b0f79f0f73401dc591b7f77537cfac1d2256a5af865c041ca9c3a61c82e83f03"),
     ])
     def test_golden_balanced_csv_digest(self, tmp_path, n, gamma, delta,
                                         digest):
@@ -190,6 +195,34 @@ class TestCutsizeTable:
         write_balanced_csv(cutsize_table(validate(n, gamma, delta)),
                            Fraction(1, 10), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_rows_match_single_cells_small(self):
+        # The table walks G_s = p^s q^(n-s); single cells expand p^s against
+        # a binomial row.  Every ensemble with gamma <= 5, n <= 12.
+        for gamma in range(1, 6):
+            for n in range(1, 13):
+                for delta in range(1, gamma * n + 1):
+                    if gamma * n % delta:
+                        continue
+                    params = _params(n, gamma, delta)
+                    table = cutsize_table(params)
+                    m1s = range(params.m + 1)
+                    for s, row in enumerate(table.num):
+                        nums, dens = exact_distribution._cells(params, s, m1s)
+                        assert (list(row), list(table.den)) == (nums, dens), (
+                            n, gamma, delta, s)
+
+    @pytest.mark.parametrize("n, gamma, delta", [
+        (300, 2, 4), (120, 3, 6), (100, 4, 8), (200, 1, 2)])
+    def test_rows_match_single_cells_large(self, n, gamma, delta):
+        # Whole rows at both ends of the walk and at six seeded cutsizes.
+        params = validate(n, gamma, delta)
+        table = cutsize_table(params)
+        m1s = range(params.m + 1)
+        rng = random.Random(f"{n}-{gamma}-{delta}")
+        for s in [0, n, *rng.sample(range(1, n), 6)]:
+            nums, dens = exact_distribution._cells(params, s, m1s)
+            assert (list(table.num[s]), list(table.den)) == (nums, dens), s
 
     @staticmethod
     def _bumped(params, *bumps):
