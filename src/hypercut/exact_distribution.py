@@ -90,7 +90,8 @@ def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
     """Coefficient lists of G_s = p(u)^s * q(u)^(n-s) for s = 0, ..., n.
 
     Entry i is the coefficient of u^i.  G_s has degree gamma*n - s, so its
-    list ends there, and its entries below u^s are zero.  G_(s+1) is
+    list ends there (for gamma = 1, p = 0 and every G_s past G_0 is empty),
+    and its entries below u^s are zero.  G_(s+1) is
     (G_s / q) * p, where the quotient H by q = 1 + u^gamma is the running
     difference H[k] = G[k] - H[k - gamma], exact while s < n.
     """
