@@ -34,44 +34,56 @@ def _outpath(arg: str | None) -> Path | None:
     return path
 
 
+def _write_to(path: Path | None, write):
+    """``write(fh)`` on stdout, or on a new file at ``path`` that is removed
+    again if ``write`` raises; returns what ``write`` returns."""
+    if path is None:
+        return write(sys.stdout)
+    fh = path.open("w")
+    try:
+        with fh:
+            return write(fh)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def cmd_dist(args) -> int:
     params = validate(args.n, args.gamma, args.delta)
     eps = args.epsilon
     if eps is not None:  # checked before the table is built
         lo, hi = exact_distribution.balanced_first_part_range(params.m, eps)
-    table = exact_distribution.cutsize_table(params)  # checks total = 2^m
+    exact_distribution._check_table_budget(params)
+    expect = (oracle.exact_ensemble_average(params, cap=args.cap)
+              if args.check_oracle else None)
     print(f"ensemble: n={params.n} gamma={params.gamma} delta={params.delta} "
           f"m={params.m} xi={params.xi}")
+
+    # The rows are checked as they are written, and the column sums after
+    # the last one, so the identity line follows the A rows.
+    out = _outpath(args.out)
+    rows, balanced, same = _write_to(out, lambda fh: (
+        exact_distribution.stream_table_csv(params, fh, eps,
+                                            args.suppress_zeros, expect)))
     print(f"sum identity: total = {2 ** params.m} vs 2^m = {2 ** params.m} "
           "PASS")
-
-    out = _outpath(args.out)
     if out is not None:
-        rows = exact_distribution.write_table_csv(table, out,
-                                                  args.suppress_zeros)
         print(f"wrote {rows} rows to {out}")
-    else:
-        sys.stdout.write(exact_distribution.table_csv_text(
-            table, args.suppress_zeros))
 
     if eps is not None:
         if lo > hi:
             print(f"note: no exactly balanced bipartition exists "
                   f"(m = {params.m}, epsilon = {eps}); B is identically zero")
         bout = _outpath(args.b_out)
+        rows = _write_to(bout, lambda fh: (
+            exact_distribution.write_balanced_rows(balanced, fh,
+                                                   args.suppress_zeros)))
         if bout is not None:
-            rows = exact_distribution.write_balanced_csv(table, eps, bout,
-                                                         args.suppress_zeros)
             print(f"wrote {rows} balanced rows to {bout}")
-        else:
-            sys.stdout.write(exact_distribution.balanced_csv_text(
-                table, eps, args.suppress_zeros))
 
-    if args.check_oracle:
-        avg = oracle.exact_ensemble_average(params, cap=args.cap)
-        match = avg == table
-        print(f"oracle equality: {'EXACT MATCH PASS' if match else 'MISMATCH FAIL'}")
-        if not match:
+    if expect is not None:
+        print(f"oracle equality: {'EXACT MATCH PASS' if same else 'MISMATCH FAIL'}")
+        if not same:
             return 1
     return 0
 

@@ -78,6 +78,45 @@ def _instance(params: EnsembleParams, perm) -> Hypergraph:
                                       for i in range(0, params.xi, g)))
 
 
+def _sampled_classes(params: EnsembleParams, rng: random.Random,
+                     samples: int) -> dict[tuple[tuple[int, ...], ...], int]:
+    """How often each class, ``tuple(sorted(h.nets))``, comes up among
+    ``samples`` instances ``h`` drawn one after another by
+    ``sample_with_rng`` from ``rng``; no ``Hypergraph`` is built.
+
+    The shuffle moves socket codes (gamma+1)^v, v the socket's vertex under
+    ``_instance``'s rule, instead of socket indices.  A shuffle's draws
+    depend only on the length of the list, so the instances are the same.
+    A net's code is the sum of its gamma socket codes: its base-(gamma+1)
+    digits count the net's sockets on each vertex, and no digit carries.
+    A class is counted under the sorted tuple of its net codes and decoded
+    into nets once.
+    """
+    g, d = params.gamma, params.delta
+    base = g + 1
+    codes = [base ** (s // d) for s in range(params.xi)]
+    counts: dict[tuple[int, ...], int] = {}
+    for _ in range(samples):
+        perm = codes[:]
+        rng.shuffle(perm)
+        nets = perm[::g]
+        for j in range(1, g):
+            nets = list(map(operator.add, nets, perm[j::g]))
+        key = tuple(sorted(nets))
+        counts[key] = counts.get(key, 0) + 1
+
+    def net(code: int) -> tuple[int, ...]:
+        vertices = []
+        v = 0
+        while code:
+            code, a = divmod(code, base)
+            vertices += [v] * a
+            v += 1
+        return tuple(vertices)
+
+    return {tuple(sorted(map(net, key))): c for key, c in counts.items()}
+
+
 def hypergraph_from_socket_permutation(params: EnsembleParams,
                                        perm) -> Hypergraph:
     """Instance determined by one permutation of the xi edge sockets."""

@@ -23,7 +23,9 @@ integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
-identities in integers; the single-cell functions take the same integers.
+identities in integers, one row at a time; ``stream_table_csv`` writes the
+same rows as the walk makes them, through the same checks, without holding
+the table.  The single-cell functions take the same integers.
 A reduced ``Fraction`` is built only when a cell, a sum over cells or a CSV
 row is asked for; the log2 evaluator, the one float path, logs both parts.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core import CapExceeded, _bipartition_ratio, _max_part_size
 from .ensemble import EnsembleParams
@@ -136,16 +138,15 @@ def _numerators(params: EnsembleParams, s: int, power: list[int],
     return nums
 
 
-def _ratio_sums(rows: Iterable[Sequence[int]],
-                dens: Sequence[int]) -> list[Fraction]:
-    """sum(a / b) over each row as one reduced Fraction.
+def _ratio_sum(dens: Sequence[int]) -> Callable[[Sequence[int]], Fraction]:
+    """The map row -> sum(a / b) over the row, as one reduced Fraction.
 
-    The common denominator of ``dens`` and its multipliers are computed once
-    for all rows.
+    The common denominator of ``dens`` and its multipliers are computed once,
+    for every row the map is applied to.
     """
     lcm = math.lcm(*dens)
     scale = [lcm // b for b in dens]
-    return [Fraction(sum(map(operator.mul, row, scale)), lcm) for row in rows]
+    return lambda row: Fraction(sum(map(operator.mul, row, scale)), lcm)
 
 
 def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
@@ -208,7 +209,7 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
     """
     lo, hi = balanced_first_part_range(params.m, epsilon)
     nums, dens = _cells(params, s, range(lo, hi + 1))
-    return _ratio_sums([nums], dens)[0]
+    return _ratio_sum(dens)(nums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,47 +253,79 @@ class CutsizeTable:
     def balanced_distribution(self, epsilon) -> dict[int, Fraction]:
         """Cutsize distribution of eps-balanced bipartitions, per s."""
         lo, hi = balanced_first_part_range(self.params.m, epsilon)
-        return dict(enumerate(_ratio_sums(
-            (row[lo:hi + 1] for row in self.num), self.den[lo:hi + 1])))
+        ratio = _ratio_sum(self.den[lo:hi + 1])
+        return {s: ratio(row[lo:hi + 1]) for s, row in enumerate(self.num)}
 
     def __eq__(self, other) -> bool:
         """Equal iff both tables hold the same rational in every cell."""
         if not isinstance(other, CutsizeTable):
             return NotImplemented
         return self.params == other.params and all(
-            x * b == y * a
-            for row, orow in zip(self.num, other.num)
-            for x, a, y, b in zip(row, self.den, orow, other.den))
+            _same_values(row, self.den, orow, other.den)
+            for row, orow in zip(self.num, other.num))
 
     def validate(self) -> None:
         """Check the structural identities every exact table must satisfy.
 
-        All in integers: non-negativity, the support s <= delta*min(m1,
+        All in integers, row by row through ``_RowChecker``, the checker the
+        streamed table uses: non-negativity, the support s <= delta*min(m1,
         m - m1), symmetry m1 <-> m - m1 (cross-multiplied), row sums
         C(m, m1) and the total 2^m.
         """
-        n, m, d = self.params.n, self.params.m, self.params.delta
+        n, m = self.params.n, self.params.m
         num, den = self.num, self.den
         if (len(num) != n + 1 or any(len(row) != m + 1 for row in num)
                 or len(den) != m + 1 or min(den) <= 0):
             raise AssertionError("table is not (n+1) x (m+1) cells over "
                                  "m+1 positive denominators")
+        checker = _RowChecker(self.params, den)
         for s, row in enumerate(num):
-            k = -(-s // d)  # the support is k <= m1 <= m - k
+            checker.check(s, row)
+        checker.finish()
+
+
+def _same_values(row: Sequence[int], den: Sequence[int],
+                 orow: Sequence[int], oden: Sequence[int]) -> bool:
+    """row[i] / den[i] == orow[i] / oden[i] for every i, cross-multiplied."""
+    return all(x * b == y * a for x, a, y, b in zip(row, den, orow, oden))
+
+
+class _RowChecker:
+    """The identities of an exact table, checked one row at a time.
+
+    ``check(s, row)`` tests row s for non-negativity, the support
+    s <= delta*min(m1, m - m1) and the symmetry m1 <-> m - m1, which is
+    row[m1] * den[m - m1] == row[m - m1] * den[m1], and adds the row to
+    running column sums.  ``finish()`` then tests those sums against
+    C(m, m1) * den[m1] and the total against 2^m.  Within a row, a negative
+    or unsupported cell is reported before a broken symmetry, each at its
+    lowest m1.
+    """
+
+    def __init__(self, params: EnsembleParams, den: Sequence[int]):
+        self.m, self.delta, self.den = params.m, params.delta, den
+        # Over mirrored denominators, such as C(delta*m, delta*m1), a row is
+        # symmetric iff it reads the same backwards.
+        self.mirrored = list(den) == list(den[::-1])
+        self.sums = [0] * (params.m + 1)
+
+    def check(self, s: int, row: Sequence[int]) -> None:
+        m, den = self.m, self.den
+        k = -(-s // self.delta)  # the support is k <= m1 <= m - k
+        if min(row) < 0 or any(row[:k]) or any(row[max(0, m + 1 - k):]):
             for m1, a in enumerate(row):
                 if a < 0:
                     raise AssertionError(f"negative cell at {(s, m1)}")
                 if a and not k <= m1 <= m - k:
                     raise AssertionError(f"support violated at {(s, m1)}")
-        cols = list(zip(*num))
-        for m1 in range(m + 1):
-            a, b = den[m1], den[m - m1]
-            if a == b and cols[m1] == cols[m - m1]:
-                continue
-            for s, (x, y) in enumerate(zip(cols[m1], cols[m - m1])):
-                if x * b != y * a:
+        if not (self.mirrored and row == row[::-1]):
+            for m1 in range(m + 1):
+                if row[m1] * den[m - m1] != row[m - m1] * den[m1]:
                     raise AssertionError(f"symmetry broken at {(s, m1)}")
-        sums = [sum(col) for col in cols]
+        self.sums = list(map(operator.add, self.sums, row))
+
+    def finish(self) -> None:
+        m, den, sums = self.m, self.den, self.sums
         for m1 in range(m + 1):
             if sums[m1] != math.comb(m, m1) * den[m1]:
                 raise AssertionError(f"row sum at m1={m1} is not C(m, m1)")
@@ -300,13 +333,44 @@ class CutsizeTable:
             raise AssertionError("table total is not 2^m")
 
 
-def cutsize_table(params: EnsembleParams) -> CutsizeTable:
-    """Exact table of avg(s, m1) for every cell; identities are verified.
+def _check_table_budget(params: EnsembleParams) -> None:
+    if params.n > _MAX_TABLE_N:
+        raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
+                          f"{_MAX_TABLE_N}")
+
+
+def _denominators(params: EnsembleParams) -> list[int]:
+    """C(delta*m, delta*m1) for m1 = 0, ..., m."""
+    dm = params.delta * params.m
+    return [math.comb(dm, params.delta * m1) for m1 in range(params.m + 1)]
+
+
+def _table_rows(params: EnsembleParams,
+                den: Sequence[int]) -> Iterator[list[int]]:
+    """Numerator rows of the exact table over ``den``, for s = 0, ..., n.
 
     Walks G_s = p^s * q^(n-s) from s = 0 to n (``_cut_products``) and reads
     row s as C(m, m1) * C(n, s) * G_s[delta*m1]; an index past the end of
-    G_s gives 0.  The support needs no test of its own, because G_s is zero
-    below u^s and above u^(gamma*n - s).  Cells stay integer numerators over
+    G_s gives 0.  The support needs no mask, because G_s is zero below u^s
+    and above u^(gamma*n - s).  Each row passes ``_RowChecker`` before it
+    is yielded, and the column sums are checked after the last one, so a
+    consumer that exhausts the stream has read a verified table.
+    """
+    n, m, g, d = params.n, params.m, params.gamma, params.delta
+    cols = [(math.comb(m, m1), d * m1) for m1 in range(m + 1)]
+    checker = _RowChecker(params, den)
+    for s, prod in enumerate(_cut_products(n, g)):
+        c_ns = math.comb(n, s)
+        row = [c * c_ns * prod[k] if k < len(prod) else 0 for c, k in cols]
+        checker.check(s, row)
+        yield row
+    checker.finish()
+
+
+def cutsize_table(params: EnsembleParams) -> CutsizeTable:
+    """Exact table of avg(s, m1) for every cell; identities are verified.
+
+    Collects the checked rows of ``_table_rows``: integer numerators over
     C(delta*m, delta*m1); no Fraction is built here.
 
     Cost, validation included (Python 3.11 on a 2-core Xeon VM, one fresh
@@ -317,24 +381,15 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
         (3, 6)           0.33 s     3.7-4.1 s, 147 MiB
         (4, 8)           0.58 s     7.2-7.7 s, 193 MiB
 
-    ``_MAX_TABLE_N`` stops at n = 1000.  Memory grows with the cube of n,
-    because the cells are O(n * m) integers of O(gamma * n) digits: a
-    (2000, 2, 4) table takes 12 s and 321 MiB.
+    ``_MAX_TABLE_N`` stops at n = 1000.  The table holds every cell, so its
+    memory grows with the cube of n: the cells are O(n * m) integers of
+    O(gamma * n) digits, and a (2000, 2, 4) table takes 12 s and 321 MiB.
+    ``stream_table_csv`` writes the same cells in memory that follows one
+    row, which is how ``hypercut dist`` writes them.
     """
-    if params.n > _MAX_TABLE_N:
-        raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
-                          f"{_MAX_TABLE_N}")
-    n, m, g, d = params.n, params.m, params.gamma, params.delta
-    cols = [(math.comb(m, m1), d * m1) for m1 in range(m + 1)]
-    num = []
-    for s, prod in enumerate(_cut_products(n, g)):
-        c_ns = math.comb(n, s)
-        num.append([c * c_ns * prod[k] if k < len(prod) else 0
-                    for c, k in cols])
-    den = [math.comb(d * m, d * m1) for m1 in range(m + 1)]
-    table = CutsizeTable(params, num, den)
-    table.validate()
-    return table
+    _check_table_budget(params)
+    den = _denominators(params)
+    return CutsizeTable(params, list(_table_rows(params, den)), den)
 
 
 def log2_expected_bipartitions(params: EnsembleParams, s: int,
@@ -348,44 +403,110 @@ def log2_expected_bipartitions(params: EnsembleParams, s: int,
     return math.log2(num) - math.log2(den) if num else float("-inf")
 
 
+_A_HEADER = "s,m1,A_num,A_den\n"
+_B_HEADER = "s,B_num,B_den\n"
+
+
+def _a_lines(s: int, row: Sequence[int], den: Sequence[int],
+             suppress_zeros: bool) -> list[str]:
+    """The A rows ``s,m1,A_num,A_den`` of cutsize s, each cell reduced."""
+    lines = []
+    for m1, (a, b) in enumerate(zip(row, den)):
+        if a == 0:
+            if not suppress_zeros:
+                lines.append(f"{s},{m1},0,1\n")
+            continue
+        g = math.gcd(a, b)
+        lines.append(f"{s},{m1},{a // g},{b // g}\n")
+    return lines
+
+
+def _b_lines(values: Iterable[Fraction], suppress_zeros: bool) -> list[str]:
+    """The B rows ``s,B_num,B_den`` of B(0), B(1), ..."""
+    return [f"{s},{v.numerator},{v.denominator}\n"
+            for s, v in enumerate(values) if v or not suppress_zeros]
+
+
 def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:
     """CSV rows ``s,m1,A_num,A_den`` (exact integers) under a header line."""
-    lines = ["s,m1,A_num,A_den"]
-    for s, row in enumerate(table.num):
-        for m1, (a, b) in enumerate(zip(row, table.den)):
-            if a == 0:
-                if not suppress_zeros:
-                    lines.append(f"{s},{m1},0,1")
-                continue
-            g = math.gcd(a, b)
-            lines.append(f"{s},{m1},{a // g},{b // g}")
-    return "\n".join(lines) + "\n"
+    return _A_HEADER + "".join(
+        "".join(_a_lines(s, row, table.den, suppress_zeros))
+        for s, row in enumerate(table.num))
 
 
 def write_table_csv(table: CutsizeTable, path: str | Path,
                     suppress_zeros: bool = False) -> int:
-    """Write ``table_csv_text`` to ``path``; returns the data row count."""
-    text = table_csv_text(table, suppress_zeros)
-    Path(path).write_text(text)
-    return text.count("\n") - 1
+    """Write ``table_csv_text`` to ``path`` a row at a time; returns the
+    data row count."""
+    rows = 0
+    with Path(path).open("w") as fh:
+        fh.write(_A_HEADER)
+        for s, row in enumerate(table.num):
+            lines = _a_lines(s, row, table.den, suppress_zeros)
+            fh.writelines(lines)
+            rows += len(lines)
+    return rows
+
+
+def stream_table_csv(params: EnsembleParams, fh: TextIO, epsilon=None,
+                     suppress_zeros: bool = False,
+                     expect: CutsizeTable | None = None
+                     ) -> tuple[int, list[Fraction] | None, bool]:
+    """Write the A table of ``params`` to ``fh`` as ``write_table_csv``
+    would, one row at a time, without holding the table.
+
+    Each row is computed, checked and written before the next; memory
+    follows one row, plus the n + 1 values of the balanced column.  The
+    column sums are checked after the last row, so an identity that fails
+    raises AssertionError with rows already written: a caller writing to a
+    file removes it.  Returns
+    * the number of data rows written;
+    * B(0), ..., B(n) of ``balanced_distribution(epsilon)`` when
+      ``epsilon`` is given, else None (write them with
+      ``write_balanced_rows``);
+    * whether every cell equals the one of ``expect``, cross-multiplied
+      row by row (True when ``expect`` is None).
+    """
+    _check_table_budget(params)
+    den = _denominators(params)
+    balanced = None
+    if epsilon is not None:
+        lo, hi = balanced_first_part_range(params.m, epsilon)
+        ratio, balanced = _ratio_sum(den[lo:hi + 1]), []
+    same = expect is None or expect.params == params
+    rows = 0
+    fh.write(_A_HEADER)
+    for s, row in enumerate(_table_rows(params, den)):
+        lines = _a_lines(s, row, den, suppress_zeros)
+        fh.writelines(lines)
+        rows += len(lines)
+        if balanced is not None:
+            balanced.append(ratio(row[lo:hi + 1]))
+        if expect is not None and same:
+            same = _same_values(row, den, expect.num[s], expect.den)
+    return rows, balanced, same
 
 
 def balanced_csv_text(table: CutsizeTable, epsilon,
                       suppress_zeros: bool = False) -> str:
     """CSV rows ``s,B_num,B_den`` for the eps-balanced distribution."""
-    dist = table.balanced_distribution(epsilon)
-    lines = ["s,B_num,B_den"]
-    for s in range(table.params.n + 1):
-        val = dist[s]
-        if suppress_zeros and val == 0:
-            continue
-        lines.append(f"{s},{val.numerator},{val.denominator}")
-    return "\n".join(lines) + "\n"
+    return _B_HEADER + "".join(_b_lines(
+        table.balanced_distribution(epsilon).values(), suppress_zeros))
+
+
+def write_balanced_rows(values: Iterable[Fraction], fh: TextIO,
+                        suppress_zeros: bool = False) -> int:
+    """Write the CSV rows ``s,B_num,B_den`` of B(0), B(1), ... to ``fh``
+    under a header; returns the data row count."""
+    lines = _b_lines(values, suppress_zeros)
+    fh.write(_B_HEADER)
+    fh.writelines(lines)
+    return len(lines)
 
 
 def write_balanced_csv(table: CutsizeTable, epsilon, path: str | Path,
                        suppress_zeros: bool = False) -> int:
     """Write ``balanced_csv_text`` to ``path``; returns the data row count."""
-    text = balanced_csv_text(table, epsilon, suppress_zeros)
-    Path(path).write_text(text)
-    return text.count("\n") - 1
+    dist = table.balanced_distribution(epsilon)
+    with Path(path).open("w") as fh:
+        return write_balanced_rows(dist.values(), fh, suppress_zeros)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,8 +21,10 @@ from typing import Iterable
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
 # ``enumerate_all`` is unused here, but bench/selftest.py ``check_restore``
 # asserts that the tracer wraps ``hypercut.oracle.enumerate_all``.
-from .ensemble import (EnsembleParams, enumerate_all,  # noqa: F401
-                       instance_classes, sample_with_rng)
+# ``sample_with_rng`` is unused too; ``_sampled_classes`` draws the same
+# instances, and tests/test_oracle.py patches the name on this module.
+from .ensemble import (EnsembleParams, _sampled_classes,  # noqa: F401
+                       enumerate_all, instance_classes, sample_with_rng)
 from .exact_distribution import CutsizeTable
 
 
@@ -115,9 +116,7 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
         raise ValueError(f"need at least one sample, got {samples}")
     if 1 << params.m > cap:
         raise CapExceeded(f"2^{params.m} assignments exceed cap {cap}")
-    rng = random.Random(seed)
-    classes = Counter(tuple(sorted(sample_with_rng(params, rng).nets))
-                      for _ in range(samples))
+    classes = _sampled_classes(params, random.Random(seed), samples)
     sums, sumsq = _class_sums(((Hypergraph(params.m, nets), mult)
                                for nets, mult in classes.items()),
                               params.m, cap)

@@ -2,15 +2,18 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hypercut import asymptotics, core
+from hypercut import asymptotics, core, exact_distribution, oracle
 from hypercut.cli import main
 from hypercut.core import BinaryMatrix, Partition
 from hypercut.ensemble import validate
-from hypercut.exact_distribution import cutsize_table, write_table_csv
+from hypercut.exact_distribution import (CutsizeTable, balanced_csv_text,
+                                         cutsize_table, table_csv_text,
+                                         write_balanced_csv, write_table_csv)
 from hypercut.formats import read_alist, write_alist, write_partition
 
 
@@ -72,6 +75,83 @@ class TestDist:
         assert run("dist", "-n", n, "-g", 2, "-d", delta,
                    "--check-oracle") == 0
         assert "EXACT MATCH PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("eps", ["0", "1/10"])
+    @pytest.mark.parametrize("n, gamma, delta", [
+        (60, 2, 4), (48, 3, 6), (100, 4, 8)])
+    def test_streamed_files_equal_table_writers(self, tmp_path, capsys, n,
+                                                gamma, delta, eps, suppress):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        flags = ["--suppress-zeros"] if suppress else []
+        assert run("dist", "-n", n, "-g", gamma, "-d", delta, "-e", eps,
+                   "-o", a, "--b-out", b, *flags) == 0
+        out = capsys.readouterr().out
+        table = cutsize_table(validate(n, gamma, delta))
+        ref_a, ref_b = tmp_path / "ref_a.csv", tmp_path / "ref_b.csv"
+        rows = write_table_csv(table, ref_a, suppress)
+        b_rows = write_balanced_csv(table, Fraction(eps), ref_b, suppress)
+        assert a.read_bytes() == ref_a.read_bytes()
+        assert b.read_bytes() == ref_b.read_bytes()
+        assert f"wrote {rows} rows to {a}" in out
+        assert f"wrote {b_rows} balanced rows to {b}" in out
+
+    @pytest.mark.parametrize("suppress", [False, True])
+    @pytest.mark.parametrize("n, gamma, delta, eps", [
+        (60, 2, 4, "1/10"), (48, 3, 6, "0"), (3, 2, 2, "0")])
+    def test_streamed_stdout_equals_table_text(self, capsys, n, gamma, delta,
+                                               eps, suppress):
+        flags = ["--suppress-zeros"] if suppress else []
+        assert run("dist", "-n", n, "-g", gamma, "-d", delta, "-e", eps,
+                   *flags) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        table = cutsize_table(validate(n, gamma, delta))
+        a_text = table_csv_text(table, suppress)
+        b_text = balanced_csv_text(table, eps, suppress)
+        # ensemble line, A rows, identity line, (odd-m note,) B rows
+        assert lines[0].startswith("ensemble: ")
+        assert "".join(lines[1:]).startswith(a_text)
+        assert lines[1 + a_text.count("\n")].startswith("sum identity: ")
+        assert "".join(lines).endswith("\n" + b_text)
+
+    @pytest.mark.parametrize("bump, message", [
+        ({3: (4,)}, r"symmetry broken at \(3, 1\)"),
+        ({4: (4, 12)}, "row sum at m1=1")])
+    def test_failed_identity_leaves_no_files(self, tmp_path, capsys,
+                                             monkeypatch, bump, message):
+        # E(8, 2, 4): m = 4, cell (s, m1) reads G_s at u^(4*m1).  A bump at
+        # m1 = 1 alone breaks the row's symmetry; one at m1 = 1 and 3 keeps
+        # it, so the fault shows only in the column sums after the last row.
+        walk = exact_distribution._cut_products
+
+        def corrupted(n, gamma):
+            for s, prod in enumerate(walk(n, gamma)):
+                if s in bump:
+                    prod = list(prod)
+                    for k in bump[s]:
+                        prod[k] += 1
+                yield prod
+
+        monkeypatch.setattr(exact_distribution, "_cut_products", corrupted)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        with pytest.raises(AssertionError, match=message):
+            run("dist", "-n", 8, "-g", 2, "-d", 4, "-e", "0",
+                "-o", a, "--b-out", b)
+        assert not a.exists() and not b.exists()
+        assert "sum identity" not in capsys.readouterr().out
+
+    def test_check_oracle_mismatch(self, capsys, monkeypatch):
+        exact = oracle.exact_ensemble_average
+
+        def off_by_one(params, cap):
+            table = exact(params, cap=cap)
+            num = [list(row) for row in table.num]
+            num[2][1] += 1
+            return CutsizeTable(params, num, table.den)
+
+        monkeypatch.setattr(oracle, "exact_ensemble_average", off_by_one)
+        assert run("dist", "-n", 4, "-g", 2, "-d", 4, "--check-oracle") == 1
+        assert "oracle equality: MISMATCH FAIL" in capsys.readouterr().out
 
     def test_odd_m_note(self, capsys):
         assert run("dist", "-n", 3, "-g", 2, "-d", 2, "-e", "0") == 0
@@ -432,3 +512,31 @@ def test_runs_without_numpy(tmp_path):
                           env=dict(env, PYTHONPATH=pythonpath),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dist_memory_follows_rows(tmp_path):
+    # The streamed (400, 3, 6) table peaks near 18 MiB, a bare import of
+    # hypercut near 16 MiB; holding the whole table and its text took
+    # 103 MiB.  The child reports VmHWM, the peak of its own address space:
+    # Linux carries the parent's peak into a child's ru_maxrss across exec,
+    # so ru_maxrss would measure this test process.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM needs /proc/self/status")
+    script = textwrap.dedent("""
+        from hypercut.cli import main
+        assert main(["dist", "-n", "400", "-g", "3", "-d", "6", "-e", "0.1",
+                     "-o", "A.csv", "--b-out", "B.csv"]) == 0
+        with open("/proc/self/status") as fh:
+            hwm = next(line for line in fh if line.startswith("VmHWM:"))
+        print(int(hwm.split()[1]) / 1024)
+        """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src,
+                                               os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "HYPERCUT_OUTDIR"}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(env, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak_mib = float(proc.stdout.splitlines()[-1])
+    assert peak_mib < 48, f"dist peaked at {peak_mib:.1f} MiB"

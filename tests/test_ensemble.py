@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercut.core import CapExceeded
-from hypercut.ensemble import (EnsembleParams, enumerate_all,
+from hypercut.ensemble import (EnsembleParams, _sampled_classes,
+                               enumerate_all,
                                hypergraph_from_socket_permutation,
-                               instance_classes, sample, validate)
+                               instance_classes, sample, sample_with_rng,
+                               validate)
 
 
 @st.composite
@@ -212,3 +214,20 @@ def test_sampler_matches_uniform_permutation_law():
     stat = sum((observed.get(key, 0) - draws * cnt / total) ** 2
                / (draws * cnt / total) for key, cnt in law.items())
     assert stat < 61.91
+
+
+@pytest.mark.parametrize("n, gamma, delta", [
+    (8, 2, 4), (6, 3, 6), (9, 2, 3), (12, 3, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_sampled_classes_match_sampled_instances(n, gamma, delta, seed):
+    # Socket codes are shuffled with the same draws as socket indices, so
+    # the class counts equal those of the instances themselves, in the
+    # order the classes first come up.  (6, 3, 6) has nets that meet a
+    # vertex twice.
+    params = validate(n, gamma, delta)
+    rng = random.Random(seed)
+    want = Counter(tuple(sorted(sample_with_rng(params, rng).nets))
+                   for _ in range(500))
+    got = _sampled_classes(params, random.Random(seed), 500)
+    assert got == want
+    assert list(got) == list(want)

@@ -160,6 +160,15 @@ class TestMonteCarlo:
         with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
             monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
 
+    def test_cap_checked_before_any_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("the RNG was used")
+
+        monkeypatch.setattr(oracle.random, "Random", draw)
+        monkeypatch.setattr(oracle, "_sampled_classes", draw)
+        with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
+            monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
+
     def test_deterministic(self):
         p = validate(4, 2, 4)
         a = monte_carlo_average(p, 500, seed=9)
