@@ -443,7 +443,7 @@ def write_table_csv(table: CutsizeTable, path: str | Path,
         fh.write(_A_HEADER)
         for s, row in enumerate(table.num):
             lines = _a_lines(s, row, table.den, suppress_zeros)
-            fh.writelines(lines)
+            fh.write("".join(lines))
             rows += len(lines)
     return rows
 
@@ -478,7 +478,7 @@ def stream_table_csv(params: EnsembleParams, fh: TextIO, epsilon=None,
     fh.write(_A_HEADER)
     for s, row in enumerate(_table_rows(params, den)):
         lines = _a_lines(s, row, den, suppress_zeros)
-        fh.writelines(lines)
+        fh.write("".join(lines))
         rows += len(lines)
         if balanced is not None:
             balanced.append(ratio(row[lo:hi + 1]))
