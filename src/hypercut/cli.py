@@ -82,7 +82,8 @@ def cmd_dist(args) -> int:
             print(f"wrote {rows} balanced rows to {bout}")
 
     if expect is not None:
-        print(f"oracle equality: {'EXACT MATCH PASS' if same else 'MISMATCH FAIL'}")
+        print("oracle equality: "
+              + ("EXACT MATCH PASS" if same else "MISMATCH FAIL"))
         if not same:
             return 1
     return 0
