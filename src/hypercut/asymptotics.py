@@ -13,6 +13,13 @@ rate h(sigma, eps) maximizes g over mu1 in [(1-eps)/2, (1+eps)/2].  The
 typical minimum cutsize is the first sigma where the rate turns positive:
 below it, balanced bipartitions of that cutsize are exponentially rare.
 
+For fixed mu1, g is H2(sigma) plus an infimum of functions affine in sigma,
+so it is concave in sigma, with its peak at peak_sigma(mu1).  peak_sigma
+decreases on [1/2, 1), so h is nondecreasing on the monotone prefix
+sigma <= peak_sigma((1+eps)/2).  The root search binary-searches a sigma
+grid there, and scans the grid point by point only past the prefix, where
+h need not be monotone.
+
 All logarithms are base 2.  The inner infimum is smooth and convex in
 t = ln u, so it is located by geometric bracketing plus bisection on the
 derivative.  Its minimizer u* gives dg/dmu1 by the envelope theorem,
@@ -27,6 +34,7 @@ ln u* = ((delta-1)/delta)*logit(mu1).  Every routine here is deterministic.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -344,12 +352,27 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     """Smallest relative cutsize where the balanced rate turns positive.
 
     Balanced bipartitions with smaller relative cutsize are exponentially
-    rare.  The rate is scanned on a ``_SIGMA_STEP`` grid up to its peak,
-    taking the first crossing from below, then bisected to a width of
-    ``_SIGMA_TOL``.  Needs gamma >= 2, delta >= 3 (the regime where the rate
-    starts <= 0 and the peak is positive, so a root exists); a scan without
-    a sign change raises RuntimeError carrying the scanned (sigma, rate)
-    pairs as ``.grid``.  eps is read once, as ``balanced_growth_rate``
+    rare.  The root is bracketed by the first positive point of a
+    ``_SIGMA_STEP`` grid on (0, peak_sigma(1/2)], built by repeated
+    addition of the step and clipped to its top, then bisected to a width
+    of ``_SIGMA_TOL``.
+
+    The first positive point is found without evaluating every grid point.
+    For fixed mu1, g is concave in sigma (entropy plus an infimum of affine
+    functions of sigma) and peaks at ``peak_sigma(mu1)``, which decreases
+    on [1/2, 1).  So the balanced rate, a maximum of such g over
+    mu1 in [1/2, (1+eps)/2], is nondecreasing on the monotone prefix
+    sigma <= peak_sigma((1+eps)/2).  The first grid point is evaluated,
+    then the last point of that prefix; if it is positive the prefix is
+    binary-searched for its first positive point, else the points past the
+    prefix are scanned in order.  Either way the bracket, and so the root,
+    is the one a point-by-point scan finds.
+
+    Needs gamma >= 2, delta >= 3 (the regime where the rate starts <= 0 and
+    the peak is positive, so a root exists).  A grid without a positive
+    point raises RuntimeError carrying the evaluated (sigma, rate) pairs as
+    ``.grid``, in sigma order from the first grid point to the top; its
+    message counts them.  eps is read once, as ``balanced_growth_rate``
     reads it.
     """
     gamma, delta = _degrees(ensemble)
@@ -358,30 +381,47 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     eps = _bipartition_ratio(epsilon)
     top = peak_sigma(0.5, gamma)
 
-    def rate(s: float) -> float:
-        return balanced_growth_rate(s, eps, ensemble).value
+    points: list[float] = []
+    sigma = _SIGMA_STEP
+    while sigma < top:
+        points.append(sigma)
+        sigma += _SIGMA_STEP
+    points.append(top)
+    # points[:prefix] lie on the monotone prefix.
+    prefix = bisect.bisect_right(
+        points, peak_sigma((1.0 + float(eps)) / 2.0, gamma))
 
-    prev, sigma = 0.0, _SIGMA_STEP
     grid: list[tuple[float, float]] = []
-    while True:
-        sigma = min(sigma, top)
-        v = rate(sigma)
-        grid.append((sigma, v))
-        if v > 0.0:
-            break
-        if sigma >= top:
+
+    def positive(i: int) -> bool:
+        v = balanced_growth_rate(points[i], eps, ensemble).value
+        grid.append((points[i], v))
+        return v > 0.0
+
+    if positive(0):
+        first = 0
+    elif prefix > 1 and positive(prefix - 1):
+        lo, first = 0, prefix - 1  # rate(points[lo]) <= 0 < rate(points[first])
+        while first - lo > 1:
+            mid = (lo + first) // 2
+            if positive(mid):
+                first = mid
+            else:
+                lo = mid
+    else:
+        first = next((i for i in range(max(prefix, 1), len(points))
+                      if positive(i)), None)
+        if first is None:
             err = RuntimeError(
                 f"no sign change of balanced rate (gamma={gamma}, "
                 f"delta={delta}) found on (0, {top}]; grid step "
-                f"{_SIGMA_STEP}, {len(grid)} points")
+                f"{_SIGMA_STEP}, {len(grid)} points evaluated")
             err.grid = grid
             raise err
-        prev = sigma
-        sigma += _SIGMA_STEP
-    lo, hi = prev, sigma
+    lo, hi = (points[first - 1] if first else 0.0), points[first]
     while hi - lo > _SIGMA_TOL:
         mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
+        if balanced_growth_rate(mid, eps, ensemble).value > 0.0:
             hi = mid
         else:
             lo = mid

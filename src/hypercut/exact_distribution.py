@@ -44,6 +44,11 @@ from .core import CapExceeded, _bipartition_ratio, _max_part_size
 from .ensemble import EnsembleParams
 
 _MAX_TABLE_N = 1000
+#: Largest xi = gamma*n of an exact table.  The kernel's work grows as
+#: xi^3, and a numerator is below C(m, m1)*C(xi, delta*m1) < 2^(m + xi),
+#: so at xi <= 4000 (m <= xi) every cell has at most 2409 decimal
+#: digits, below the 4300-digit int-to-str limit of Python >= 3.11.
+_MAX_TABLE_XI = 4000
 
 
 def _times_p(poly: list[int], gamma: int) -> list[int]:
@@ -337,6 +342,9 @@ def _check_table_budget(params: EnsembleParams) -> None:
     if params.n > _MAX_TABLE_N:
         raise CapExceeded(f"n = {params.n} exceeds the exact-table budget "
                           f"{_MAX_TABLE_N}")
+    if params.xi > _MAX_TABLE_XI:
+        raise CapExceeded(f"xi = gamma*n = {params.xi} exceeds the "
+                          f"exact-table budget {_MAX_TABLE_XI}")
 
 
 def _denominators(params: EnsembleParams) -> list[int]:
@@ -381,7 +389,8 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
         (3, 6)           0.33 s     3.7-4.1 s, 147 MiB
         (4, 8)           0.58 s     7.2-7.7 s, 193 MiB
 
-    ``_MAX_TABLE_N`` stops at n = 1000.  The table holds every cell, so its
+    ``_MAX_TABLE_N`` stops at n = 1000 and ``_MAX_TABLE_XI`` at
+    xi = gamma*n = 4000, where (1000, 4, 8) sits.  The table holds every cell, so its
     memory grows with the cube of n: the cells are O(n * m) integers of
     O(gamma * n) digits, and a (2000, 2, 4) table takes 12 s and 321 MiB.
     ``stream_table_csv`` writes the same cells in memory that follows one

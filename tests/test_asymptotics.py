@@ -350,6 +350,70 @@ class TestTypicalMinCutsize:
         assert grid[-1] == (peak_sigma(0.5, 2), -1.0)
         assert f"{len(grid)} points" in str(info.value)
 
+    @pytest.mark.parametrize("gamma, delta, eps", [
+        (2, 3, "0"), (2, 4, "1/10"), (2, 6, "1/2"), (2, 21, "9/10"),
+        (3, 4, "0"), (3, 5, "1/4"), (3, 9, "9/10"), (4, 5, "0"),
+        (4, 8, "3/4"), (5, 6, "0"), (5, 10, "1/100"), (5, 21, "1/2"),
+    ])
+    def test_equals_linear_scan(self, gamma, delta, eps):
+        # bit-identical to evaluating every grid point up to the first
+        # positive one
+        assert (typical_min_cutsize(eps, (gamma, delta))
+                == _scan_min_cutsize(eps, (gamma, delta)))
+
+    def test_scans_past_monotone_prefix(self, monkeypatch):
+        # a rate that is negative on the whole monotone prefix
+        # sigma <= peak_sigma(3/4, 2) = 0.375, positive on (0.4, 0.45) and
+        # negative again up to the grid's top, 0.5
+        monkeypatch.setattr(
+            asymptotics, "balanced_growth_rate",
+            lambda s, eps, ens: GrowthPoint(s, eps,
+                                            s - 0.4 if s < 0.45 else -1.0,
+                                            None))
+        root = typical_min_cutsize("1/2", (2, 4))
+        assert root == _scan_min_cutsize("1/2", (2, 4))
+        assert root == pytest.approx(0.4, abs=1e-10)
+
+    @pytest.mark.parametrize("delta", [4, 5])
+    def test_root_evaluation_budget(self, monkeypatch, delta):
+        # a scan of every grid point below the root took 132 and 171
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return balanced_growth_rate(*args)
+
+        monkeypatch.setattr(asymptotics, "balanced_growth_rate", counted)
+        typical_min_cutsize("1/10", (2, delta))
+        assert len(calls) <= 40
+
+
+def _scan_min_cutsize(epsilon, ensemble):
+    """Reference root: evaluate the sigma grid point by point up to the
+    first positive balanced rate, then bisect the last step."""
+    eps = Fraction(epsilon)
+    top = peak_sigma(0.5, ensemble[0])
+
+    def rate(s):
+        return asymptotics.balanced_growth_rate(s, eps, ensemble).value
+
+    prev, sigma = 0.0, asymptotics._SIGMA_STEP
+    while True:
+        sigma = min(sigma, top)
+        if rate(sigma) > 0.0:
+            break
+        assert sigma < top, "no sign change"
+        prev = sigma
+        sigma += asymptotics._SIGMA_STEP
+    lo, hi = prev, sigma
+    while hi - lo > asymptotics._SIGMA_TOL:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
 
 class TestVerdict:
     def test_known_rows(self):

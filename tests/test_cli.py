@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,6 +153,15 @@ class TestDist:
         monkeypatch.setattr(oracle, "exact_ensemble_average", off_by_one)
         assert run("dist", "-n", 4, "-g", 2, "-d", 4, "--check-oracle") == 1
         assert "oracle equality: MISMATCH FAIL" in capsys.readouterr().out
+
+    def test_large_gamma_over_table_budget_exits_2_at_once(self, capsys):
+        # n = 2 is far below the n budget, but xi = gamma*n = 16000
+        start = time.monotonic()
+        assert run("dist", "-n", 2, "-g", 8000, "-d", 8000) == 2
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact-table budget 4000" in captured.err
 
     def test_odd_m_note(self, capsys):
         assert run("dist", "-n", 3, "-g", 2, "-d", 2, "-e", "0") == 0

@@ -166,6 +166,12 @@ class TestCutsizeTable:
         with pytest.raises(CapExceeded, match="budget 1000"):
             cutsize_table(validate(1001, 2, 2))  # n = 1000 is the largest
 
+    def test_budget_guard_counts_gamma(self):
+        with pytest.raises(CapExceeded, match="xi = gamma\\*n = 16000 .* 4000"):
+            cutsize_table(validate(2, 8000, 8000))
+        # xi = 4000 is the largest: (1000, 4, 8) passes the check
+        exact_distribution._check_table_budget(validate(1000, 4, 8))
+
     @pytest.mark.parametrize("n, gamma, delta, digest", [
         (60, 2, 4,
          "df77c3da8183a34023aa24c9a6bf2d728a222aebea6a694d78dbc1a2274c3f1c"),
