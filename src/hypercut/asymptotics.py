@@ -401,7 +401,8 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     if positive(0):
         first = 0
     elif prefix > 1 and positive(prefix - 1):
-        lo, first = 0, prefix - 1  # rate(points[lo]) <= 0 < rate(points[first])
+        # rate(points[lo]) <= 0 < rate(points[first])
+        lo, first = 0, prefix - 1
         while first - lo > 1:
             mid = (lo + first) // 2
             if positive(mid):

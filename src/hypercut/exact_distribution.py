@@ -390,9 +390,10 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
         (4, 8)           0.58 s     7.2-7.7 s, 193 MiB
 
     ``_MAX_TABLE_N`` stops at n = 1000 and ``_MAX_TABLE_XI`` at
-    xi = gamma*n = 4000, where (1000, 4, 8) sits.  The table holds every cell, so its
-    memory grows with the cube of n: the cells are O(n * m) integers of
-    O(gamma * n) digits, and a (2000, 2, 4) table takes 12 s and 321 MiB.
+    xi = gamma*n = 4000, where (1000, 4, 8) sits.  The table holds every
+    cell, so its memory grows with the cube of n: the cells are O(n * m)
+    integers of O(gamma * n) digits, and a (2000, 2, 4) table takes 12 s
+    and 321 MiB.
     ``stream_table_csv`` writes the same cells in memory that follows one
     row, which is how ``hypercut dist`` writes them.
     """
