@@ -401,14 +401,14 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     if positive(0):
         first = 0
     elif prefix > 1 and positive(prefix - 1):
-        # rate(points[lo]) <= 0 < rate(points[first])
-        lo, first = 0, prefix - 1
-        while first - lo > 1:
-            mid = (lo + first) // 2
+        # rate(points[below]) <= 0 < rate(points[first])
+        below, first = 0, prefix - 1
+        while first - below > 1:
+            mid = (below + first) // 2
             if positive(mid):
                 first = mid
             else:
-                lo = mid
+                below = mid
     else:
         first = next((i for i in range(max(prefix, 1), len(points))
                       if positive(i)), None)
