@@ -14,11 +14,12 @@ typical minimum cutsize is the first sigma where the rate turns positive:
 below it, balanced bipartitions of that cutsize are exponentially rare.
 
 For fixed mu1, g is H2(sigma) plus an infimum of functions affine in sigma,
-so it is concave in sigma, with its peak at peak_sigma(mu1).  peak_sigma
-decreases on [1/2, 1), so h is nondecreasing on the monotone prefix
-sigma <= peak_sigma((1+eps)/2).  The root search binary-searches a sigma
-grid there, and scans the grid point by point only past the prefix, where
-h need not be monotone.
+so it is concave in sigma, with its peak (gamma/delta)*H2(mu1) > 0 at
+peak_sigma(mu1).  peak_sigma decreases on [1/2, 1), so h is nondecreasing
+on the monotone prefix sigma <= peak_sigma((1+eps)/2), and past it every
+sigma is the peak of some allowed mu1, so h is positive there.  The sign
+of h is therefore monotone in sigma, and the root search binary-searches
+a sigma grid for its first positive point.
 
 All logarithms are base 2.  The inner infimum is smooth and convex in
 t = ln u, so it is located by geometric bracketing plus bisection on the
@@ -34,7 +35,6 @@ ln u* = ((delta-1)/delta)*logit(mu1).  Every routine here is deterministic.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -357,21 +357,22 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     addition of the step and clipped to its top, then bisected to a width
     of ``_SIGMA_TOL``.
 
-    The first positive point is found without evaluating every grid point.
-    For fixed mu1, g is concave in sigma (entropy plus an infimum of affine
-    functions of sigma) and peaks at ``peak_sigma(mu1)``, which decreases
-    on [1/2, 1).  So the balanced rate, a maximum of such g over
+    The first positive point is found by binary search, not by evaluating
+    every grid point.  For fixed mu1, g is concave in sigma (entropy plus an
+    infimum of affine functions of sigma) and peaks at ``peak_sigma(mu1)``
+    with the value ``peak_growth(mu1)`` > 0; ``peak_sigma`` decreases on
+    [1/2, 1).  So the balanced rate, a maximum of such g over
     mu1 in [1/2, (1+eps)/2], is nondecreasing on the monotone prefix
-    sigma <= peak_sigma((1+eps)/2).  The first grid point is evaluated,
-    then the last point of that prefix; if it is positive the prefix is
-    binary-searched for its first positive point, else the points past the
-    prefix are scanned in order.  Either way the bracket, and so the root,
-    is the one a point-by-point scan finds.
+    sigma <= peak_sigma((1+eps)/2).  Past the prefix, up to the top, every
+    sigma equals peak_sigma(mu1) for an allowed mu1, so the rate there is at
+    least peak_growth(mu1) > 0.  The sign of the rate is thus monotone over
+    the whole grid, and the bracket, and so the root, is the one a
+    point-by-point scan finds.
 
     Needs gamma >= 2, delta >= 3 (the regime where the rate starts <= 0 and
-    the peak is positive, so a root exists).  A grid without a positive
-    point raises RuntimeError carrying the evaluated (sigma, rate) pairs as
-    ``.grid``, in sigma order from the first grid point to the top; its
+    the peak is positive, so a root exists).  A grid whose top point is not
+    positive raises RuntimeError carrying the evaluated (sigma, rate) pairs
+    as ``.grid``, the first grid point and the top in sigma order; its
     message counts them.  eps is read once, as ``balanced_growth_rate``
     reads it.
     """
@@ -387,9 +388,6 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
         points.append(sigma)
         sigma += _SIGMA_STEP
     points.append(top)
-    # points[:prefix] lie on the monotone prefix.
-    prefix = bisect.bisect_right(
-        points, peak_sigma((1.0 + float(eps)) / 2.0, gamma))
 
     grid: list[tuple[float, float]] = []
 
@@ -400,25 +398,22 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
 
     if positive(0):
         first = 0
-    elif prefix > 1 and positive(prefix - 1):
+    elif not positive(len(points) - 1):
+        err = RuntimeError(
+            f"no sign change of balanced rate (gamma={gamma}, "
+            f"delta={delta}) found on (0, {top}]; grid step "
+            f"{_SIGMA_STEP}, {len(grid)} points evaluated")
+        err.grid = grid
+        raise err
+    else:
         # rate(points[below]) <= 0 < rate(points[first])
-        below, first = 0, prefix - 1
+        below, first = 0, len(points) - 1
         while first - below > 1:
             mid = (below + first) // 2
             if positive(mid):
                 first = mid
             else:
                 below = mid
-    else:
-        first = next((i for i in range(max(prefix, 1), len(points))
-                      if positive(i)), None)
-        if first is None:
-            err = RuntimeError(
-                f"no sign change of balanced rate (gamma={gamma}, "
-                f"delta={delta}) found on (0, {top}]; grid step "
-                f"{_SIGMA_STEP}, {len(grid)} points evaluated")
-            err.grid = grid
-            raise err
     lo, hi = (points[first - 1] if first else 0.0), points[first]
     while hi - lo > _SIGMA_TOL:
         mid = 0.5 * (lo + hi)

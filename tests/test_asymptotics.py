@@ -361,18 +361,17 @@ class TestTypicalMinCutsize:
         assert (typical_min_cutsize(eps, (gamma, delta))
                 == _scan_min_cutsize(eps, (gamma, delta)))
 
-    def test_scans_past_monotone_prefix(self, monkeypatch):
-        # a rate that is negative on the whole monotone prefix
-        # sigma <= peak_sigma(3/4, 2) = 0.375, positive on (0.4, 0.45) and
-        # negative again up to the grid's top, 0.5
-        monkeypatch.setattr(
-            asymptotics, "balanced_growth_rate",
-            lambda s, eps, ens: GrowthPoint(s, eps,
-                                            s - 0.4 if s < 0.45 else -1.0,
-                                            None))
-        root = typical_min_cutsize("1/2", (2, 4))
-        assert root == _scan_min_cutsize("1/2", (2, 4))
-        assert root == pytest.approx(0.4, abs=1e-10)
+    @pytest.mark.parametrize("gamma, delta, eps", [
+        (2, 21, "9/10"), (3, 9, "3/4"), (5, 21, "1/2"),
+    ])
+    def test_rate_positive_past_monotone_prefix(self, gamma, delta, eps):
+        # the binary search relies on it: every sigma past
+        # peak_sigma((1+eps)/2) is the peak of an allowed mu1
+        start = peak_sigma((1 + float(Fraction(eps))) / 2, gamma)
+        top = peak_sigma(0.5, gamma)
+        for i in range(11):
+            sigma = start + (top - start) * i / 10
+            assert balanced_growth_rate(sigma, eps, (gamma, delta)).value > 0
 
     @pytest.mark.parametrize("delta", [4, 5])
     def test_root_evaluation_budget(self, monkeypatch, delta):
