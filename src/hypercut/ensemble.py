@@ -22,8 +22,11 @@ from dataclasses import dataclass, field
 
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph
 
-#: RNG used by ``sample``: Python's Mersenne Twister (MT19937) driving a
-#: Fisher-Yates shuffle, which is unbiased over permutations.
+#: RNG used by ``sample``: Python's Mersenne Twister (MT19937) driving the
+#: package's own Fisher-Yates shuffle (``_shuffles``), which is unbiased over
+#: permutations.  Each swap index is drawn as ``getrandbits(k)`` with
+#: rejection, exactly the draws of CPython's ``random.Random.shuffle``, so a
+#: seed gives the same permutation either way (pinned in the tests).
 RNG_ALGORITHM = "mt19937/fisher-yates"
 
 
@@ -78,15 +81,38 @@ def _instance(params: EnsembleParams, perm) -> Hypergraph:
                                       for i in range(0, params.xi, g)))
 
 
+def _shuffles(items: list, rng: random.Random):
+    """Yield fresh shuffled copies of ``items``, one per ``next``.
+
+    Fisher-Yates (Durstenfeld's in-place form): for i from len - 1 down to
+    1, swap item i with item j, where j = ``rng.getrandbits(k)``,
+    k = (i + 1).bit_length(), redrawn while j > i.  These are the draws
+    ``random.Random.shuffle`` makes on CPython 3.10-3.13, so each copy
+    equals ``rng.shuffle`` of a copy and leaves ``rng`` in the same state,
+    without that path's ``_randbelow`` call and lookups per swap.  A copy
+    draws nothing until it is asked for.
+    """
+    getrandbits = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(len(items) - 1, 0, -1)]
+    while True:
+        x = items[:]
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        yield x
+
+
 def _sampled_classes(params: EnsembleParams, rng: random.Random,
                      samples: int) -> dict[tuple[tuple[int, ...], ...], int]:
     """How often each class, ``tuple(sorted(h.nets))``, comes up among
     ``samples`` instances ``h`` drawn one after another by
     ``sample_with_rng`` from ``rng``; no ``Hypergraph`` is built.
 
-    The shuffle moves socket codes (gamma+1)^v, v the socket's vertex under
-    ``_instance``'s rule, instead of socket indices.  A shuffle's draws
-    depend only on the length of the list, so the instances are the same.
+    ``_shuffles`` moves socket codes (gamma+1)^v, v the socket's vertex
+    under ``_instance``'s rule, instead of socket indices.  Its draws depend
+    only on the length of the list, so the instances are the same.
     A net's code is the sum of its gamma socket codes: its base-(gamma+1)
     digits count the net's sockets on each vertex, and no digit carries.
     A class is counted under the sorted tuple of its net codes and decoded
@@ -96,9 +122,7 @@ def _sampled_classes(params: EnsembleParams, rng: random.Random,
     base = g + 1
     codes = [base ** (s // d) for s in range(params.xi)]
     counts: dict[tuple[int, ...], int] = {}
-    for _ in range(samples):
-        perm = codes[:]
-        rng.shuffle(perm)
+    for perm in itertools.islice(_shuffles(codes, rng), samples):
         nets = perm[::g]
         for j in range(1, g):
             nets = list(map(operator.add, nets, perm[j::g]))
@@ -135,10 +159,12 @@ def sample(params: EnsembleParams, seed: int) -> Hypergraph:
 
 
 def sample_with_rng(params: EnsembleParams, rng: random.Random) -> Hypergraph:
-    """Like ``sample`` but advancing a caller-owned RNG stream."""
-    perm = list(range(params.xi))
-    rng.shuffle(perm)
-    return _instance(params, perm)
+    """Like ``sample`` but advancing a caller-owned RNG stream.
+
+    The socket permutation is one ``_shuffles`` copy of 0..xi-1, drawn as
+    ``rng.shuffle`` would draw it.
+    """
+    return _instance(params, next(_shuffles(list(range(params.xi)), rng)))
 
 
 def enumerate_all(params: EnsembleParams):

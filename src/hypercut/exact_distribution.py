@@ -49,6 +49,10 @@ _MAX_TABLE_N = 1000
 #: so at xi <= 4000 (m <= xi) every cell has at most 2409 decimal
 #: digits, below the 4300-digit int-to-str limit of Python >= 3.11.
 _MAX_TABLE_XI = 4000
+#: Largest (n+1)*(m+1)*(m + xi) of a table held in memory: its cells
+#: times the m + xi bits that bound each one.  (1000, 4, 4), at 5.0e9,
+#: peaks at 399 MiB and passes; (1000, 4, 2), at 1.2e10, does not.
+_MAX_TABLE_BITS = 6 * 10**9
 
 
 def _times_p(poly: list[int], gamma: int) -> list[int]:
@@ -347,6 +351,14 @@ def _check_table_budget(params: EnsembleParams) -> None:
                           f"exact-table budget {_MAX_TABLE_XI}")
 
 
+def _check_table_memory(params: EnsembleParams) -> None:
+    bits = (params.n + 1) * (params.m + 1) * (params.m + params.xi)
+    if bits > _MAX_TABLE_BITS:
+        raise CapExceeded(f"(n+1)(m+1)(m+xi) = {bits} bits exceed the "
+                          f"in-memory table budget {_MAX_TABLE_BITS} bits; "
+                          "stream_table_csv writes it a row at a time")
+
+
 def _denominators(params: EnsembleParams) -> list[int]:
     """C(delta*m, delta*m1) for m1 = 0, ..., m."""
     dm = params.delta * params.m
@@ -391,13 +403,15 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
 
     ``_MAX_TABLE_N`` stops at n = 1000 and ``_MAX_TABLE_XI`` at
     xi = gamma*n = 4000, where (1000, 4, 8) sits.  The table holds every
-    cell, so its memory grows with the cube of n: the cells are O(n * m)
-    integers of O(gamma * n) digits, and a (2000, 2, 4) table takes 12 s
-    and 321 MiB.
+    cell, so its memory grows with the cube of n: the (n+1)(m+1) cells are
+    integers of up to m + xi bits, and a small delta makes m large at the
+    same xi.  ``_MAX_TABLE_BITS`` bounds that product, which keeps
+    (1000, 4, 4) (399 MiB) and refuses (1000, 4, 2) before any work.
     ``stream_table_csv`` writes the same cells in memory that follows one
-    row, which is how ``hypercut dist`` writes them.
+    row, which is how ``hypercut dist`` writes them, and has no such bound.
     """
     _check_table_budget(params)
+    _check_table_memory(params)
     den = _denominators(params)
     return CutsizeTable(params, list(_table_rows(params, den)), den)
 
@@ -419,15 +433,29 @@ _B_HEADER = "s,B_num,B_den\n"
 
 def _a_lines(s: int, row: Sequence[int], den: Sequence[int],
              suppress_zeros: bool) -> list[str]:
-    """The A rows ``s,m1,A_num,A_den`` of cutsize s, each cell reduced."""
+    """The A rows ``s,m1,A_num,A_den`` of cutsize s, each cell reduced.
+
+    A cell whose numerator and denominator both equal those of its mirror
+    m - m1, already written, reuses the mirror's reduced text; an exact
+    table's rows and C(delta*m, delta*m1) columns are symmetric, so about
+    half the gcds and decimal conversions are saved.  Any other cell is
+    reduced on its own.
+    """
+    last = len(row) - 1
+    texts = {}
     lines = []
     for m1, (a, b) in enumerate(zip(row, den)):
         if a == 0:
             if not suppress_zeros:
                 lines.append(f"{s},{m1},0,1\n")
             continue
-        g = math.gcd(a, b)
-        lines.append(f"{s},{m1},{a // g},{b // g}\n")
+        mirror = last - m1
+        if mirror < m1 and row[mirror] == a and den[mirror] == b:
+            text = texts[mirror]
+        else:
+            g = math.gcd(a, b)
+            text = texts[m1] = f"{a // g},{b // g}\n"
+        lines.append(f"{s},{m1},{text}")
     return lines
 
 

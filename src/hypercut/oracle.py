@@ -21,10 +21,8 @@ from typing import Iterable
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
 # ``enumerate_all`` is unused here, but bench/selftest.py ``check_restore``
 # asserts that the tracer wraps ``hypercut.oracle.enumerate_all``.
-# ``sample_with_rng`` is unused too; ``_sampled_classes`` draws the same
-# instances, and tests/test_oracle.py patches the name on this module.
 from .ensemble import (EnsembleParams, _sampled_classes,  # noqa: F401
-                       enumerate_all, instance_classes, sample_with_rng)
+                       enumerate_all, instance_classes)
 from .exact_distribution import CutsizeTable
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercut.core import CapExceeded
-from hypercut.ensemble import (EnsembleParams, _sampled_classes,
+from hypercut.ensemble import (EnsembleParams, _sampled_classes, _shuffles,
                                enumerate_all,
                                hypergraph_from_socket_permutation,
                                instance_classes, sample, sample_with_rng,
@@ -214,6 +214,25 @@ def test_sampler_matches_uniform_permutation_law():
     stat = sum((observed.get(key, 0) - draws * cnt / total) ** 2
                / (draws * cnt / total) for key, cnt in law.items())
     assert stat < 61.91
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 16, 17, 64, 200])
+def test_shuffles_draw_as_random_shuffle(length):
+    # The package's Fisher-Yates must make exactly the draws of
+    # random.Random.shuffle: the same lists, copy after copy, and the same
+    # stream left behind.  17, 64 and 200 lie just past or on a power of
+    # two, where the rejection loop redraws most often.
+    items = [3 * i + 1 for i in range(length)]
+    for seed in range(100):
+        ref, rng = random.Random(seed), random.Random(seed)
+        copies = _shuffles(items, rng)
+        for _ in range(3):
+            want = items[:]
+            ref.shuffle(want)
+            assert next(copies) == want
+            assert rng.getstate() == ref.getstate()
+        assert rng.random() == ref.random()
+    assert items == [3 * i + 1 for i in range(length)]
 
 
 @pytest.mark.parametrize("n, gamma, delta", [

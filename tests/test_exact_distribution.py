@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypercut import exact_distribution
 from hypercut.core import CapExceeded
-from hypercut.ensemble import validate
+from hypercut.ensemble import EnsembleParams, validate
 from hypercut.exact_distribution import (CutsizeTable,
                                          balanced_first_part_range,
                                          constellation_coeff, cutsize_table,
@@ -171,6 +171,22 @@ class TestCutsizeTable:
             cutsize_table(validate(2, 8000, 8000))
         # xi = 4000 is the largest: (1000, 4, 8) passes the check
         exact_distribution._check_table_budget(validate(1000, 4, 8))
+
+    def test_memory_budget_counts_cells(self):
+        # Same n and xi, smaller delta: more cells, each up to m + xi bits.
+        # EnsembleParams, not validate, since delta < gamma would warn.
+        check = exact_distribution._check_table_memory
+        check(EnsembleParams(1000, 4, 8))  # 2.3e9 bits
+        check(EnsembleParams(1000, 4, 4))  # 5.0e9 bits, 399 MiB measured
+        budget = exact_distribution._MAX_TABLE_BITS
+        for delta, bits in ((2, 1001 * 2001 * 6000), (1, 1001 * 4001 * 8000)):
+            params = EnsembleParams(1000, 4, delta)
+            exact_distribution._check_table_budget(params)  # n, xi pass
+            with pytest.raises(CapExceeded,
+                               match=f"= {bits} bits .* budget {budget} bits"):
+                check(params)
+            with pytest.raises(CapExceeded, match="in-memory table budget"):
+                cutsize_table(params)
 
     @pytest.mark.parametrize("n, gamma, delta, digest", [
         (60, 2, 4,
@@ -424,6 +440,32 @@ class TestCsv:
         sparse = tmp_path / "a2.csv"
         nonzero = sum(1 for v in table.cells.values() if v != 0)
         assert write_table_csv(table, sparse, suppress_zeros=True) == nonzero
+
+    @pytest.mark.parametrize("suppress_zeros", [False, True])
+    def test_each_cell_reduced_on_its_own(self, tmp_path, suppress_zeros):
+        # Mirrored denominators with rows that are not symmetric: a cell
+        # must not take the text of its mirror unless both parts are equal.
+        # The last row also breaks the mirror of the denominators.
+        num = [[0, 6, 4, 6, 0], [2, 6, 7, 3, 2], [5, 0, 8, 0, 10],
+               [6, 6, 3, 6, 6], [4, 3, 6, 3, 4]]
+        den = [20, 8, 6, 8, 20]
+        table = CutsizeTable(_params(4, 2, 2), num, den)  # n = 4, m = 4
+        out = tmp_path / "a.csv"
+        rows = write_table_csv(table, out, suppress_zeros=suppress_zeros)
+        lines = out.read_text().splitlines()
+        assert out.read_text() == table_csv_text(table, suppress_zeros)
+        want = {(s, m1): Fraction(a, b)
+                for s, row in enumerate(num)
+                for m1, (a, b) in enumerate(zip(row, den))
+                if a or not suppress_zeros}
+        got = {}
+        for line in lines[1:]:
+            s, m1, a, b = map(int, line.split(","))
+            assert math.gcd(a, b) == 1
+            got[s, m1] = Fraction(a, b)
+        assert got == want and rows == len(want)
+        table = CutsizeTable(_params(4, 2, 2), num, [20, 8, 6, 8, 15])
+        assert "4,4,4,15" in table_csv_text(table).splitlines()
 
     def test_balanced_csv(self, tmp_path):
         table = cutsize_table(validate(4, 2, 4))

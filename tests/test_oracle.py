@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercut import oracle
+from hypercut import ensemble, oracle
 from hypercut.cli import main
 from hypercut.core import CapExceeded, Hypergraph, Partition, cutsize
 from hypercut.ensemble import enumerate_all, sample, sample_with_rng, validate
@@ -154,9 +154,9 @@ class TestMonteCarlo:
 
     def test_cap_checked_before_sampling(self, monkeypatch):
         def draw(*args):
-            raise AssertionError("an instance was sampled")
+            raise AssertionError("a socket list was shuffled")
 
-        monkeypatch.setattr(oracle, "sample_with_rng", draw)
+        monkeypatch.setattr(ensemble, "_shuffles", draw)
         with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
             monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
 
