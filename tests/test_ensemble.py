@@ -220,8 +220,7 @@ def test_sampler_matches_uniform_permutation_law():
 def test_shuffles_draw_as_random_shuffle(length):
     # The package's Fisher-Yates must make exactly the draws of
     # random.Random.shuffle: the same lists, copy after copy, and the same
-    # stream left behind.  17, 64 and 200 lie just past or on a power of
-    # two, where the rejection loop redraws most often.
+    # stream left behind.  Lists of 0 and 1 items draw nothing.
     items = [3 * i + 1 for i in range(length)]
     for seed in range(100):
         ref, rng = random.Random(seed), random.Random(seed)

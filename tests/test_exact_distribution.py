@@ -452,14 +452,14 @@ class TestCsv:
         table = CutsizeTable(_params(4, 2, 2), num, den)  # n = 4, m = 4
         out = tmp_path / "a.csv"
         rows = write_table_csv(table, out, suppress_zeros=suppress_zeros)
-        lines = out.read_text().splitlines()
-        assert out.read_text() == table_csv_text(table, suppress_zeros)
+        text = out.read_text()
+        assert text == table_csv_text(table, suppress_zeros)
         want = {(s, m1): Fraction(a, b)
                 for s, row in enumerate(num)
                 for m1, (a, b) in enumerate(zip(row, den))
                 if a or not suppress_zeros}
         got = {}
-        for line in lines[1:]:
+        for line in text.splitlines()[1:]:
             s, m1, a, b = map(int, line.split(","))
             assert math.gcd(a, b) == 1
             got[s, m1] = Fraction(a, b)
