@@ -15,7 +15,7 @@ from pathlib import Path
 
 from hypercut import (cutsize_table, expected_balanced_bipartitions,
                       expected_bipartitions, log2_expected_bipartitions,
-                      validate, write_balanced_csv, write_table_csv)
+                      validate, write_balanced_rows, write_table_rows)
 
 # Output files go to $HYPERCUT_OUTDIR, or to the working directory.
 OUT = Path(os.environ.get("HYPERCUT_OUTDIR", "."))
@@ -70,10 +70,13 @@ rate = log2_expected_bipartitions(big, 80, big.m // 2) / big.n
 print(f"E(400, 2, 4): (1/n) log2 avg at sigma = 0.2, mu1 = 1/2: {rate:.6f}")
 
 # =============================================================================
-# CSV export: exact integers as decimal strings.
+# CSV export: exact integers as decimal strings.  Writers take an open
+# text handle.
 
 a_csv = OUT / "e424_table.csv"
 b_csv = OUT / "e424_balanced.csv"
-write_table_csv(table, a_csv)
-write_balanced_csv(table, 0, b_csv)
+with open(a_csv, "w") as fh:
+    write_table_rows(table.num, table.den, fh)
+with open(b_csv, "w") as fh:
+    write_balanced_rows(table.balanced_distribution(0).values(), fh)
 print("wrote", a_csv, "and", b_csv)

@@ -80,5 +80,6 @@ worst = max(abs(est.mean[s, m1] - float(formula.value(s, m1)))
 print(f"worst cell deviation: {worst:.2f} standard errors")
 
 mc_csv = OUT / "e424_montecarlo.csv"
-write_estimate_csv(est, mc_csv)
+with open(mc_csv, "w") as fh:
+    write_estimate_csv(est, fh)
 print("wrote", mc_csv)

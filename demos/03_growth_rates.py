@@ -48,7 +48,8 @@ for gamma, deltas in ((2, range(3, 8)), (3, range(4, 9))):
     for delta in deltas:
         pts = curve((gamma, delta), 0.0, grid)
         path = OUT / f"h_curve_g{gamma}_d{delta}.csv"
-        write_curve_csv(pts, path)
+        with open(path, "w") as fh:
+            write_curve_csv(pts, fh)
     print(f"wrote balanced-rate curves for gamma = {gamma}, "
           f"delta in {list(deltas)}")
 

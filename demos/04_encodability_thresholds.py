@@ -39,5 +39,6 @@ assert not verdict((3, 4)).satisfied
 assert verdict((5, 21)).satisfied and not verdict((5, 20)).satisfied
 
 path = OUT / "verdicts.csv"
-write_verdict_csv(rows, path)
+with open(path, "w") as fh:
+    write_verdict_csv(rows, fh)
 print("wrote", path)

@@ -27,7 +27,8 @@ params = validate(8, 2, 4)
 h = sample(params, seed=11)
 mat = matrix_from_hypergraph(h)
 alist_path = OUT / "instance.alist"
-write_alist(mat, alist_path)
+with open(alist_path, "w") as fh:
+    write_alist(mat, fh)
 back = read_alist(alist_path)
 assert back == mat
 print(f"instance: {mat.rows} x {mat.cols}, stored and re-read from "
@@ -38,7 +39,8 @@ print(f"instance: {mat.rows} x {mat.cols}, stored and re-read from "
 
 part = Partition((1, 1, 2, 2))
 part_path = OUT / "partition.txt"
-write_partition(part, part_path)
+with open(part_path, "w") as fh:
+    write_partition(part, fh)
 assert read_partition(part_path).labels == part.labels
 
 print("balanced at eps = 0:", is_balanced(part, 0))

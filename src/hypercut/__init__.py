@@ -20,8 +20,8 @@ from .exact_distribution import (CutsizeTable, balanced_first_part_range,
                                  expected_balanced_bipartitions,
                                  expected_bipartitions,
                                  log2_expected_bipartitions,
-                                 stream_table_csv, write_balanced_csv,
-                                 write_balanced_rows, write_table_csv)
+                                 stream_table_csv, write_balanced_rows,
+                                 write_table_rows)
 from .formats import read_alist, read_partition, write_alist, write_partition
 from .oracle import (MonteCarloEstimate, count_bipartitions,
                      exact_ensemble_average, monte_carlo_average,
@@ -45,8 +45,7 @@ __all__ = [
     "max_parallel_degree", "min_cutsize_bruteforce", "monte_carlo_average",
     "peak_growth", "peak_sigma", "read_alist", "read_partition", "sample",
     "stream_table_csv", "tanner_to_hypergraph", "typical_min_cutsize",
-    "validate", "verdict", "write_alist", "write_balanced_csv",
-    "write_balanced_rows", "write_curve_csv",
-    "write_estimate_csv", "write_partition", "write_table_csv",
-    "write_verdict_csv",
+    "validate", "verdict", "write_alist", "write_balanced_rows",
+    "write_curve_csv", "write_estimate_csv", "write_partition",
+    "write_table_rows", "write_verdict_csv",
 ]

@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .core import _bipartition_ratio
 
@@ -449,19 +448,15 @@ def curve(ensemble, epsilon,
             for s in sigma_grid]
 
 
-def curve_csv_text(points: Sequence[GrowthPoint]) -> str:
-    lines = ["sigma,h"]
-    lines += [f"{p.sigma:.10g},{p.value:.10g}" for p in points]
-    return "\n".join(lines) + "\n"
+def write_curve_csv(points: Sequence[GrowthPoint], fh: TextIO) -> None:
+    """Write the CSV rows ``sigma,h`` (10 significant digits) to ``fh``."""
+    fh.write("sigma,h\n")
+    fh.writelines(f"{p.sigma:.10g},{p.value:.10g}\n" for p in points)
 
 
-def write_curve_csv(points: Sequence[GrowthPoint], path: str | Path) -> None:
-    Path(path).write_text(curve_csv_text(points))
-
-
-def write_verdict_csv(rows: Sequence[VerdictRow], path: str | Path) -> None:
-    lines = ["gamma,delta,design_rate,beta_star,satisfied,margin"]
-    lines += [f"{r.gamma},{r.delta},{r.design_rate:.10g},{r.beta_star:.10g},"
-              f"{'true' if r.satisfied else 'false'},{r.margin:.10g}"
-              for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_verdict_csv(rows: Sequence[VerdictRow], fh: TextIO) -> None:
+    """Write the CSV rows of the verdict table to ``fh``."""
+    fh.write("gamma,delta,design_rate,beta_star,satisfied,margin\n")
+    fh.writelines(f"{r.gamma},{r.delta},{r.design_rate:.10g},"
+                  f"{r.beta_star:.10g},{'true' if r.satisfied else 'false'},"
+                  f"{r.margin:.10g}\n" for r in rows)

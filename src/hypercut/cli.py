@@ -17,7 +17,7 @@ from . import asymptotics, exact_distribution, oracle
 from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan, as_ratio,
                    check_block_diagonalizable, matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
-from .formats import alist_text, read_alist, read_partition, write_alist
+from .formats import read_alist, read_partition, write_alist
 
 #: Most sigma-grid points ``growth`` evaluates.  A point costs about 0.5 ms,
 #: so the largest grid, ``--step 0.0001``, runs for about 5 s.
@@ -36,7 +36,11 @@ def _outpath(arg: str | None) -> Path | None:
 
 def _write_to(path: Path | None, write):
     """``write(fh)`` on stdout, or on a new file at ``path`` that is removed
-    again if ``write`` raises; returns what ``write`` returns."""
+    again if ``write`` raises; returns what ``write`` returns.
+
+    The one place that opens an output file: the package's writers all
+    take the open handle.
+    """
     if path is None:
         return write(sys.stdout)
     fh = path.open("w")
@@ -62,9 +66,9 @@ def cmd_dist(args) -> int:
     # The rows are checked as they are written, and the column sums after
     # the last one, so the identity line follows the A rows.
     out = _outpath(args.out)
-    rows, balanced, same = _write_to(out, lambda fh: (
+    rows, balanced = _write_to(out, lambda fh: (
         exact_distribution.stream_table_csv(params, fh, eps,
-                                            args.suppress_zeros, expect)))
+                                            args.suppress_zeros)))
     print(f"sum identity: total = {2 ** params.m} vs 2^m = {2 ** params.m} "
           "PASS")
     if out is not None:
@@ -82,6 +86,7 @@ def cmd_dist(args) -> int:
             print(f"wrote {rows} balanced rows to {bout}")
 
     if expect is not None:
+        same = expect == exact_distribution.cutsize_table(params)
         print("oracle equality: "
               + ("EXACT MATCH PASS" if same else "MISMATCH FAIL"))
         if not same:
@@ -101,11 +106,9 @@ def cmd_growth(args) -> int:
     grid = [i / points for i in range(points + 1)]
     pts = asymptotics.curve((args.gamma, args.delta), args.epsilon, grid)
     out = _outpath(args.out)
+    _write_to(out, lambda fh: asymptotics.write_curve_csv(pts, fh))
     if out is not None:
-        asymptotics.write_curve_csv(pts, out)
         print(f"wrote {len(pts)} points to {out}")
-    else:
-        sys.stdout.write(asymptotics.curve_csv_text(pts))
     return 0
 
 
@@ -121,7 +124,7 @@ def cmd_tables(args) -> int:
               f"{r.margin:+8.4f}")
     out = _outpath(args.out)
     if out is not None:
-        asymptotics.write_verdict_csv(rows, out)
+        _write_to(out, lambda fh: asymptotics.write_verdict_csv(rows, fh))
         print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -131,13 +134,12 @@ def cmd_sample(args) -> int:
     h = sample(params, args.seed)
     mat = matrix_from_hypergraph(h)
     out = _outpath(args.out)
+    _write_to(out, lambda fh: write_alist(mat, fh))
     if out is not None:
-        write_alist(mat, out)
         print(f"wrote {mat.rows} x {mat.cols} instance to {out}")
-        print(f"rng: {RNG_ALGORITHM}, seed: {args.seed}")
-    else:
-        print(f"rng: {RNG_ALGORITHM}, seed: {args.seed}", file=sys.stderr)
-        sys.stdout.write(alist_text(mat))
+    # Without -o, stdout carries the alist alone.
+    print(f"rng: {RNG_ALGORITHM}, seed: {args.seed}",
+          file=sys.stdout if out is not None else sys.stderr)
     return 0
 
 
@@ -188,10 +190,11 @@ def cmd_oracle(args) -> int:
 
     if args.mode == "exhaustive":
         avg = oracle.exact_ensemble_average(params, cap=args.cap)
-        sys.stdout.write(exact_distribution.table_csv_text(
-            avg, suppress_zeros=True))
+        exact_distribution.write_table_rows(avg.num, avg.den, sys.stdout,
+                                            suppress_zeros=True)
         if out is not None:
-            exact_distribution.write_table_csv(avg, out)
+            _write_to(out, lambda fh: exact_distribution.write_table_rows(
+                avg.num, avg.den, fh))
             print(f"wrote table to {out}")
         match = avg == table
         print("EXACT MATCH" if match else "MISMATCH")
@@ -210,7 +213,7 @@ def cmd_oracle(args) -> int:
     print(f"samples: {args.samples}, seed: {args.seed}, rng: {RNG_ALGORITHM}")
     print(f"cells beyond 4 standard errors: {bad}/{cells}")
     if out is not None:
-        oracle.write_estimate_csv(est, out)
+        _write_to(out, lambda fh: oracle.write_estimate_csv(est, fh))
         print(f"wrote estimate to {out}")
     return 0 if bad <= 1 else 1
 

@@ -23,11 +23,15 @@ integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
-identities in integers, one row at a time; ``stream_table_csv`` writes the
-same rows as the walk makes them, through the same checks, without holding
-the table.  The single-cell functions take the same integers.
-A reduced ``Fraction`` is built only when a cell, a sum over cells or a CSV
-row is asked for; the log2 evaluator, the one float path, logs both parts.
+identities in integers, one row at a time.  ``write_table_rows`` is the one
+writer of the A table's CSV rows, and ``write_balanced_rows`` the one of
+the B table's; like every writer in the package, each writes to an open
+text handle.  ``stream_table_csv`` feeds ``write_table_rows`` the rows as
+the walk makes them, through the same checks, without holding the table;
+a held table passes its ``num`` and ``den``.  The single-cell functions
+take the same integers.  A reduced ``Fraction`` is built only when a cell,
+a sum over cells or a CSV row is asked for; the log2 evaluator, the one
+float path, logs both parts.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core import CapExceeded, _bipartition_ratio, _max_part_size
@@ -269,9 +272,11 @@ class CutsizeTable:
         """Equal iff both tables hold the same rational in every cell."""
         if not isinstance(other, CutsizeTable):
             return NotImplemented
+        # row[i] / den[i] == orow[i] / oden[i], cross-multiplied
         return self.params == other.params and all(
-            _same_values(row, self.den, orow, other.den)
-            for row, orow in zip(self.num, other.num))
+            x * b == y * a
+            for row, orow in zip(self.num, other.num)
+            for x, a, y, b in zip(row, self.den, orow, other.den))
 
     def validate(self) -> None:
         """Check the structural identities every exact table must satisfy.
@@ -291,12 +296,6 @@ class CutsizeTable:
         for s, row in enumerate(num):
             checker.check(s, row)
         checker.finish()
-
-
-def _same_values(row: Sequence[int], den: Sequence[int],
-                 orow: Sequence[int], oden: Sequence[int]) -> bool:
-    """row[i] / den[i] == orow[i] / oden[i] for every i, cross-multiplied."""
-    return all(x * b == y * a for x, a, y, b in zip(row, den, orow, oden))
 
 
 class _RowChecker:
@@ -408,7 +407,8 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
     same xi.  ``_MAX_TABLE_BITS`` bounds that product, which keeps
     (1000, 4, 4) (399 MiB) and refuses (1000, 4, 2) before any work.
     ``stream_table_csv`` writes the same cells in memory that follows one
-    row, which is how ``hypercut dist`` writes them, and has no such bound.
+    row, which is how ``hypercut dist`` writes them, and has no such bound;
+    ``write_table_rows(table.num, table.den, fh)`` writes a held table.
     """
     _check_table_budget(params)
     _check_table_memory(params)
@@ -427,71 +427,46 @@ def log2_expected_bipartitions(params: EnsembleParams, s: int,
     return math.log2(num) - math.log2(den) if num else float("-inf")
 
 
-_A_HEADER = "s,m1,A_num,A_den\n"
-_B_HEADER = "s,B_num,B_den\n"
+def write_table_rows(rows: Iterable[Sequence[int]], den: Sequence[int],
+                     fh: TextIO, suppress_zeros: bool = False) -> int:
+    """Write the CSV rows ``s,m1,A_num,A_den`` of the numerator rows
+    ``rows`` (s = 0, 1, ...) over the column denominators ``den`` to ``fh``
+    under a header, one row at a time; returns the data row count.
 
-
-def _a_lines(s: int, row: Sequence[int], den: Sequence[int],
-             suppress_zeros: bool) -> list[str]:
-    """The A rows ``s,m1,A_num,A_den`` of cutsize s, each cell reduced.
-
-    A cell whose numerator and denominator both equal those of its mirror
-    m - m1, already written, reuses the mirror's reduced text; an exact
-    table's rows and C(delta*m, delta*m1) columns are symmetric, so about
-    half the gcds and decimal conversions are saved.  Any other cell is
-    reduced on its own.
+    Each cell is written reduced.  A cell whose numerator and denominator
+    both equal those of its mirror m - m1, already written, reuses the
+    mirror's text; an exact table's rows and C(delta*m, delta*m1) columns
+    are symmetric, so about half the gcds and decimal conversions are
+    saved.  Any other cell is reduced on its own.
     """
-    last = len(row) - 1
-    texts = {}
-    lines = []
-    for m1, (a, b) in enumerate(zip(row, den)):
-        if a == 0:
-            if not suppress_zeros:
-                lines.append(f"{s},{m1},0,1\n")
-            continue
-        mirror = last - m1
-        if mirror < m1 and row[mirror] == a and den[mirror] == b:
-            text = texts[mirror]
-        else:
-            g = math.gcd(a, b)
-            text = texts[m1] = f"{a // g},{b // g}\n"
-        lines.append(f"{s},{m1},{text}")
-    return lines
-
-
-def _b_lines(values: Iterable[Fraction], suppress_zeros: bool) -> list[str]:
-    """The B rows ``s,B_num,B_den`` of B(0), B(1), ..."""
-    return [f"{s},{v.numerator},{v.denominator}\n"
-            for s, v in enumerate(values) if v or not suppress_zeros]
-
-
-def table_csv_text(table: CutsizeTable, suppress_zeros: bool = False) -> str:
-    """CSV rows ``s,m1,A_num,A_den`` (exact integers) under a header line."""
-    return _A_HEADER + "".join(
-        "".join(_a_lines(s, row, table.den, suppress_zeros))
-        for s, row in enumerate(table.num))
-
-
-def write_table_csv(table: CutsizeTable, path: str | Path,
-                    suppress_zeros: bool = False) -> int:
-    """Write ``table_csv_text`` to ``path`` a row at a time; returns the
-    data row count."""
-    rows = 0
-    with Path(path).open("w") as fh:
-        fh.write(_A_HEADER)
-        for s, row in enumerate(table.num):
-            lines = _a_lines(s, row, table.den, suppress_zeros)
-            fh.write("".join(lines))
-            rows += len(lines)
-    return rows
+    count = 0
+    fh.write("s,m1,A_num,A_den\n")
+    for s, row in enumerate(rows):
+        last = len(row) - 1
+        texts = {}
+        lines = []
+        for m1, (a, b) in enumerate(zip(row, den)):
+            if a == 0:
+                if not suppress_zeros:
+                    lines.append(f"{s},{m1},0,1\n")
+                continue
+            mirror = last - m1
+            if mirror < m1 and row[mirror] == a and den[mirror] == b:
+                text = texts[mirror]
+            else:
+                g = math.gcd(a, b)
+                text = texts[m1] = f"{a // g},{b // g}\n"
+            lines.append(f"{s},{m1},{text}")
+        fh.write("".join(lines))
+        count += len(lines)
+    return count
 
 
 def stream_table_csv(params: EnsembleParams, fh: TextIO, epsilon=None,
-                     suppress_zeros: bool = False,
-                     expect: CutsizeTable | None = None
-                     ) -> tuple[int, list[Fraction] | None, bool]:
-    """Write the A table of ``params`` to ``fh`` as ``write_table_csv``
-    would, one row at a time, without holding the table.
+                     suppress_zeros: bool = False
+                     ) -> tuple[int, list[Fraction] | None]:
+    """Write the A table of ``params`` to ``fh`` through
+    ``write_table_rows``, one row at a time, without holding the table.
 
     Each row is computed, checked and written before the next; memory
     follows one row, plus the n + 1 values of the balanced column.  The
@@ -501,50 +476,30 @@ def stream_table_csv(params: EnsembleParams, fh: TextIO, epsilon=None,
     * the number of data rows written;
     * B(0), ..., B(n) of ``balanced_distribution(epsilon)`` when
       ``epsilon`` is given, else None (write them with
-      ``write_balanced_rows``);
-    * whether every cell equals the one of ``expect``, cross-multiplied
-      row by row (True when ``expect`` is None).
+      ``write_balanced_rows``).
     """
     _check_table_budget(params)
     den = _denominators(params)
-    balanced = None
-    if epsilon is not None:
-        lo, hi = balanced_first_part_range(params.m, epsilon)
-        ratio, balanced = _ratio_sum(den[lo:hi + 1]), []
-    same = expect is None or expect.params == params
-    rows = 0
-    fh.write(_A_HEADER)
-    for s, row in enumerate(_table_rows(params, den)):
-        lines = _a_lines(s, row, den, suppress_zeros)
-        fh.write("".join(lines))
-        rows += len(lines)
-        if balanced is not None:
+    rows = _table_rows(params, den)
+    if epsilon is None:
+        return write_table_rows(rows, den, fh, suppress_zeros), None
+    lo, hi = balanced_first_part_range(params.m, epsilon)
+    ratio, balanced = _ratio_sum(den[lo:hi + 1]), []
+
+    def tapped():
+        for row in rows:
             balanced.append(ratio(row[lo:hi + 1]))
-        if expect is not None and same:
-            same = _same_values(row, den, expect.num[s], expect.den)
-    return rows, balanced, same
+            yield row
 
-
-def balanced_csv_text(table: CutsizeTable, epsilon,
-                      suppress_zeros: bool = False) -> str:
-    """CSV rows ``s,B_num,B_den`` for the eps-balanced distribution."""
-    return _B_HEADER + "".join(_b_lines(
-        table.balanced_distribution(epsilon).values(), suppress_zeros))
+    return write_table_rows(tapped(), den, fh, suppress_zeros), balanced
 
 
 def write_balanced_rows(values: Iterable[Fraction], fh: TextIO,
                         suppress_zeros: bool = False) -> int:
     """Write the CSV rows ``s,B_num,B_den`` of B(0), B(1), ... to ``fh``
     under a header; returns the data row count."""
-    lines = _b_lines(values, suppress_zeros)
-    fh.write(_B_HEADER)
+    lines = [f"{s},{v.numerator},{v.denominator}\n"
+             for s, v in enumerate(values) if v or not suppress_zeros]
+    fh.write("s,B_num,B_den\n")
     fh.writelines(lines)
     return len(lines)
-
-
-def write_balanced_csv(table: CutsizeTable, epsilon, path: str | Path,
-                       suppress_zeros: bool = False) -> int:
-    """Write ``balanced_csv_text`` to ``path``; returns the data row count."""
-    dist = table.balanced_distribution(epsilon)
-    with Path(path).open("w") as fh:
-        return write_balanced_rows(dist.values(), fh, suppress_zeros)

@@ -19,6 +19,7 @@ count is inferred as the largest label.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TextIO
 
 from .core import BinaryMatrix, Partition
 
@@ -103,8 +104,8 @@ def read_alist(path: str | Path) -> BinaryMatrix:
     return mat
 
 
-def alist_text(mat: BinaryMatrix) -> str:
-    """Render ``mat`` in alist format (columns first, zero-padded)."""
+def write_alist(mat: BinaryMatrix, fh: TextIO) -> None:
+    """Write ``mat`` to ``fh`` in alist format (columns first, zero-padded)."""
     cols = [sorted(r + 1 for r in sup) for sup in mat.column_supports()]
     rows = [sorted(c + 1 for c in sup)
             for sup in mat.transpose().column_supports()]
@@ -121,11 +122,7 @@ def alist_text(mat: BinaryMatrix) -> str:
            " ".join(str(len(r)) for r in rows)]
     out += [padded(c, cmax) for c in cols]
     out += [padded(r, rmax) for r in rows]
-    return "\n".join(out) + "\n"
-
-
-def write_alist(mat: BinaryMatrix, path: str | Path) -> None:
-    Path(path).write_text(alist_text(mat))
+    fh.writelines(line + "\n" for line in out)
 
 
 def read_partition(path: str | Path, parts: int | None = None) -> Partition:
@@ -153,5 +150,6 @@ def read_partition(path: str | Path, parts: int | None = None) -> Partition:
     return Partition(tuple(labels), parts)
 
 
-def write_partition(p: Partition, path: str | Path) -> None:
-    Path(path).write_text("\n".join(str(lab) for lab in p.labels) + "\n")
+def write_partition(p: Partition, fh: TextIO) -> None:
+    """Write one 1-based part label per line to ``fh``."""
+    fh.writelines(f"{lab}\n" for lab in p.labels)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
 # ``enumerate_all`` is unused here, but bench/selftest.py ``check_restore``
@@ -130,10 +129,10 @@ def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
     return MonteCarloEstimate(params, samples, seed, mean, stderr)
 
 
-def write_estimate_csv(est: MonteCarloEstimate, path: str | Path) -> int:
-    """CSV rows ``s,m1,mean,stderr`` (floats, 10 significant digits)."""
-    lines = ["s,m1,mean,stderr"] + [
-        f"{s},{m1},{mu:.10g},{est.stderr[s, m1]:.10g}"
-        for (s, m1), mu in est.mean.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines) - 1
+def write_estimate_csv(est: MonteCarloEstimate, fh: TextIO) -> int:
+    """Write the CSV rows ``s,m1,mean,stderr`` (floats, 10 significant
+    digits) to ``fh``; returns the data row count."""
+    fh.write("s,m1,mean,stderr\n")
+    fh.writelines(f"{s},{m1},{mu:.10g},{est.stderr[s, m1]:.10g}\n"
+                  for (s, m1), mu in est.mean.items())
+    return len(est.mean)

@@ -459,14 +459,16 @@ class TestCurve:
     def test_csv_writers(self, tmp_path):
         pts = curve((2, 4), 0.0, [0.0, 0.5, 1.0])
         cpath = tmp_path / "curve.csv"
-        write_curve_csv(pts, cpath)
+        with open(cpath, "w") as fh:
+            write_curve_csv(pts, fh)
         lines = cpath.read_text().splitlines()
         assert lines[0] == "sigma,h"
         assert lines[2] == "0.5,0.5"
 
         rows = [verdict((2, 3)), verdict((3, 4))]
         vpath = tmp_path / "verdicts.csv"
-        write_verdict_csv(rows, vpath)
+        with open(vpath, "w") as fh:
+            write_verdict_csv(rows, fh)
         lines = vpath.read_text().splitlines()
         assert lines[0] == "gamma,delta,design_rate,beta_star,satisfied,margin"
         assert lines[1].startswith("2,3,0.3333333333,")

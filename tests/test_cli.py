@@ -1,3 +1,5 @@
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -8,13 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from hypercut import asymptotics, core, exact_distribution, oracle
+from hypercut import asymptotics, cli, core, exact_distribution, oracle
 from hypercut.cli import main
 from hypercut.core import BinaryMatrix, Partition
 from hypercut.ensemble import validate
-from hypercut.exact_distribution import (CutsizeTable, balanced_csv_text,
-                                         cutsize_table, table_csv_text,
-                                         write_balanced_csv, write_table_csv)
+from hypercut.exact_distribution import (CutsizeTable, cutsize_table,
+                                         write_balanced_rows,
+                                         write_table_rows)
 from hypercut.formats import read_alist, write_alist, write_partition
 
 
@@ -22,12 +24,19 @@ def run(*args):
     return main([str(a) for a in args])
 
 
+def _write(path, writer, *args):
+    """``writer(*args, fh)`` on a new file at ``path``."""
+    with open(path, "w") as fh:
+        writer(*args, fh)
+
+
 def _identity_instance(tmp_path, labels):
     """Identity matrix and a partition of its rows, written as check input."""
     alist, part = tmp_path / "id.alist", tmp_path / "p.txt"
     k = len(labels)
-    write_alist(BinaryMatrix(k, k, frozenset((i, i) for i in range(k))), alist)
-    write_partition(Partition(labels), part)
+    _write(alist, write_alist,
+           BinaryMatrix(k, k, frozenset((i, i) for i in range(k))))
+    _write(part, write_partition, Partition(labels))
     return alist, part
 
 
@@ -89,11 +98,13 @@ class TestDist:
                    "-o", a, "--b-out", b, *flags) == 0
         out = capsys.readouterr().out
         table = cutsize_table(validate(n, gamma, delta))
-        ref_a, ref_b = tmp_path / "ref_a.csv", tmp_path / "ref_b.csv"
-        rows = write_table_csv(table, ref_a, suppress)
-        b_rows = write_balanced_csv(table, Fraction(eps), ref_b, suppress)
-        assert a.read_bytes() == ref_a.read_bytes()
-        assert b.read_bytes() == ref_b.read_bytes()
+        ref_a, ref_b = io.StringIO(), io.StringIO()
+        rows = write_table_rows(table.num, table.den, ref_a, suppress)
+        b_rows = write_balanced_rows(
+            table.balanced_distribution(Fraction(eps)).values(), ref_b,
+            suppress)
+        assert a.read_bytes() == ref_a.getvalue().encode()
+        assert b.read_bytes() == ref_b.getvalue().encode()
         assert f"wrote {rows} rows to {a}" in out
         assert f"wrote {b_rows} balanced rows to {b}" in out
 
@@ -107,8 +118,11 @@ class TestDist:
                    *flags) == 0
         lines = capsys.readouterr().out.splitlines(keepends=True)
         table = cutsize_table(validate(n, gamma, delta))
-        a_text = table_csv_text(table, suppress)
-        b_text = balanced_csv_text(table, eps, suppress)
+        a_out, b_out = io.StringIO(), io.StringIO()
+        write_table_rows(table.num, table.den, a_out, suppress)
+        write_balanced_rows(table.balanced_distribution(eps).values(), b_out,
+                            suppress)
+        a_text, b_text = a_out.getvalue(), b_out.getvalue()
         # ensemble line, A rows, identity line, (odd-m note,) B rows
         assert lines[0].startswith("ensemble: ")
         assert "".join(lines[1:]).startswith(a_text)
@@ -311,8 +325,8 @@ class TestSampleAndCheck:
     def test_check_identity(self, tmp_path, capsys):
         alist = tmp_path / "id.alist"
         part = tmp_path / "p.txt"
-        write_alist(BinaryMatrix.from_dense([[1, 0], [0, 1]]), alist)
-        write_partition(Partition((1, 2)), part)
+        _write(alist, write_alist, BinaryMatrix.from_dense([[1, 0], [0, 1]]))
+        _write(part, write_partition, Partition((1, 2)))
         assert run("check", "--alist", alist, "--partition", part,
                    "-e", "0") == 0
         out = capsys.readouterr().out
@@ -367,8 +381,9 @@ class TestSampleAndCheck:
     def test_check_empty_column(self, tmp_path, capsys):
         # an empty column is never cut; it still counts in n
         alist, part = tmp_path / "z.alist", tmp_path / "p.txt"
-        write_alist(BinaryMatrix.from_columns([(0,), (), (0, 1)], 2), alist)
-        write_partition(Partition((1, 2)), part)
+        _write(alist, write_alist,
+               BinaryMatrix.from_columns([(0,), (), (0, 1)], 2))
+        _write(part, write_partition, Partition((1, 2)))
         assert run("check", "--alist", alist, "--partition", part) == 0
         out = capsys.readouterr().out
         assert "matrix: 2 rows x 3 cols" in out
@@ -380,7 +395,7 @@ class TestSampleAndCheck:
     def test_check_empty_part_rejected(self, tmp_path, capsys):
         alist = tmp_path / "id.alist"
         part = tmp_path / "p.txt"
-        write_alist(BinaryMatrix.from_dense([[1, 0], [0, 1]]), alist)
+        _write(alist, write_alist, BinaryMatrix.from_dense([[1, 0], [0, 1]]))
         part.write_text("1\n1\n")
         assert run("check", "--alist", alist, "--partition", part,
                    "-K", 2) == 2
@@ -389,7 +404,7 @@ class TestSampleAndCheck:
     def test_check_dimension_mismatch(self, tmp_path, capsys):
         alist = tmp_path / "id.alist"
         part = tmp_path / "p.txt"
-        write_alist(BinaryMatrix.from_dense([[1, 0], [0, 1]]), alist)
+        _write(alist, write_alist, BinaryMatrix.from_dense([[1, 0], [0, 1]]))
         part.write_text("1\n2\n1\n")
         assert run("check", "--alist", alist, "--partition", part) == 2
         captured = capsys.readouterr()
@@ -465,7 +480,8 @@ class TestOracle:
     def test_exhaustive_csv_is_the_table_csv(self, tmp_path, capsys):
         out, ref = tmp_path / "a.csv", tmp_path / "ref.csv"
         assert run("oracle", "-n", 4, "-g", 2, "-d", 4, "-o", out) == 0
-        write_table_csv(cutsize_table(validate(4, 2, 4)), ref)
+        table = cutsize_table(validate(4, 2, 4))
+        _write(ref, write_table_rows, table.num, table.den)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_montecarlo_csv(self, tmp_path, capsys):
@@ -487,6 +503,38 @@ class TestOracle:
                    "--samples", 3000, "--seed", 11) == 0
         out = capsys.readouterr().out
         assert "cells beyond 4 standard errors" in out
+
+
+@pytest.mark.parametrize("module, writer, argv", [
+    (exact_distribution, "write_table_rows",
+     ["oracle", "-n", 4, "-g", 2, "-d", 4]),
+    (oracle, "write_estimate_csv",
+     ["oracle", "-n", 4, "-g", 2, "-d", 4, "--mode", "montecarlo",
+      "--samples", 200]),
+    (asymptotics, "write_curve_csv",
+     ["growth", "-g", 2, "-d", 5, "--step", 0.1]),
+    (asymptotics, "write_verdict_csv", ["tables", "-g", 2, "-d", 4]),
+    (cli, "write_alist", ["sample", "-n", 8, "-g", 2, "-d", 4]),
+])
+def test_writer_failing_part_way_leaves_no_file(tmp_path, capsys, monkeypatch,
+                                                module, writer, argv):
+    # The file writer fails after its first line, as on a full disk.  The
+    # exhaustive oracle also writes its stdout table through the same
+    # writer, so only the call on the file fails.
+    real = getattr(module, writer)
+
+    def fails_part_way(*args, **kwargs):
+        fh = args[-1]
+        if fh is sys.stdout:
+            return real(*args, **kwargs)
+        fh.write("partial\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(module, writer, fails_part_way)
+    out = tmp_path / "out.csv"
+    assert run(*argv, "-o", out) == 2
+    assert not out.exists()
+    assert "No space left on device" in capsys.readouterr().err
 
 
 def test_outdir_env_redirects_relative_paths(tmp_path, monkeypatch, capsys):

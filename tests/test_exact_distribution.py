@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import io
 import math
 import random
 import warnings
@@ -19,9 +20,16 @@ from hypercut.exact_distribution import (CutsizeTable,
                                          expected_balanced_bipartitions,
                                          expected_bipartitions,
                                          log2_expected_bipartitions,
-                                         table_csv_text, write_balanced_csv,
-                                         write_table_csv)
+                                         write_balanced_rows,
+                                         write_table_rows)
 from hypercut.oracle import exact_ensemble_average
+
+
+def _a_text(table, suppress_zeros=False):
+    """The A-table CSV of ``table`` as ``write_table_rows`` writes it."""
+    fh = io.StringIO()
+    write_table_rows(table.num, table.den, fh, suppress_zeros)
+    return fh.getvalue()
 
 
 # ---------------------------------------------------------------- oracles
@@ -200,7 +208,9 @@ class TestCutsizeTable:
         # The digest pins every digit of every cell; cells here run to
         # hundreds of digits, far beyond the n <= 10 property tests.
         out = tmp_path / "a.csv"
-        write_table_csv(cutsize_table(validate(n, gamma, delta)), out)
+        table = cutsize_table(validate(n, gamma, delta))
+        with open(out, "w") as fh:
+            write_table_rows(table.num, table.den, fh)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, gamma, delta, digest", [
@@ -214,8 +224,10 @@ class TestCutsizeTable:
     def test_golden_balanced_csv_digest(self, tmp_path, n, gamma, delta,
                                         digest):
         out = tmp_path / "b.csv"
-        write_balanced_csv(cutsize_table(validate(n, gamma, delta)),
-                           Fraction(1, 10), out)
+        dist = cutsize_table(validate(n, gamma, delta)).balanced_distribution(
+            Fraction(1, 10))
+        with open(out, "w") as fh:
+            write_balanced_rows(dist.values(), fh)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_rows_match_single_cells_small(self):
@@ -308,7 +320,7 @@ class TestCutsizeTable:
         scaled.validate()
         assert scaled.cells == table.cells
         assert scaled == table and table == scaled
-        assert table_csv_text(scaled) == table_csv_text(table)
+        assert _a_text(scaled) == _a_text(table)
         num[2][1] += 1
         broken = CutsizeTable(params, num, den)
         assert broken != table
@@ -430,30 +442,30 @@ class TestLog2:
 
 
 class TestCsv:
-    def test_full_and_suppressed(self, tmp_path):
+    def test_full_and_suppressed(self):
         table = cutsize_table(validate(4, 2, 4))
-        full = tmp_path / "a.csv"
-        assert write_table_csv(table, full) == 15
-        lines = full.read_text().splitlines()
+        full = io.StringIO()
+        assert write_table_rows(table.num, table.den, full) == 15
+        lines = full.getvalue().splitlines()
         assert lines[0] == "s,m1,A_num,A_den"
         assert "2,1,48,35" in lines
-        sparse = tmp_path / "a2.csv"
+        sparse = io.StringIO()
         nonzero = sum(1 for v in table.cells.values() if v != 0)
-        assert write_table_csv(table, sparse, suppress_zeros=True) == nonzero
+        assert write_table_rows(table.num, table.den, sparse,
+                                suppress_zeros=True) == nonzero
 
     @pytest.mark.parametrize("suppress_zeros", [False, True])
-    def test_each_cell_reduced_on_its_own(self, tmp_path, suppress_zeros):
+    def test_each_cell_reduced_on_its_own(self, suppress_zeros):
         # Mirrored denominators with rows that are not symmetric: a cell
         # must not take the text of its mirror unless both parts are equal.
         # The last row also breaks the mirror of the denominators.
         num = [[0, 6, 4, 6, 0], [2, 6, 7, 3, 2], [5, 0, 8, 0, 10],
                [6, 6, 3, 6, 6], [4, 3, 6, 3, 4]]
         den = [20, 8, 6, 8, 20]
-        table = CutsizeTable(_params(4, 2, 2), num, den)  # n = 4, m = 4
-        out = tmp_path / "a.csv"
-        rows = write_table_csv(table, out, suppress_zeros=suppress_zeros)
-        text = out.read_text()
-        assert text == table_csv_text(table, suppress_zeros)
+        out = io.StringIO()
+        rows = write_table_rows(num, den, out, suppress_zeros)
+        text = out.getvalue()
+        assert text.splitlines()[0] == "s,m1,A_num,A_den"
         want = {(s, m1): Fraction(a, b)
                 for s, row in enumerate(num)
                 for m1, (a, b) in enumerate(zip(row, den))
@@ -465,12 +477,13 @@ class TestCsv:
             got[s, m1] = Fraction(a, b)
         assert got == want and rows == len(want)
         table = CutsizeTable(_params(4, 2, 2), num, [20, 8, 6, 8, 15])
-        assert "4,4,4,15" in table_csv_text(table).splitlines()
+        assert "4,4,4,15" in _a_text(table).splitlines()
 
-    def test_balanced_csv(self, tmp_path):
+    def test_balanced_csv(self):
         table = cutsize_table(validate(4, 2, 4))
-        out = tmp_path / "b.csv"
-        assert write_balanced_csv(table, 0, out) == 5
-        lines = out.read_text().splitlines()
+        out = io.StringIO()
+        assert write_balanced_rows(table.balanced_distribution(0).values(),
+                                   out) == 5
+        lines = out.getvalue().splitlines()
         assert lines[0] == "s,B_num,B_den"
         assert "2,48,35" in lines

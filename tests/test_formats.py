@@ -19,7 +19,8 @@ def any_matrices(draw):
 def test_alist_layout(tmp_path):
     mat = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     path = tmp_path / "h.alist"
-    write_alist(mat, path)
+    with open(path, "w") as fh:
+        write_alist(mat, fh)
     lines = path.read_text().splitlines()
     assert lines[0] == "3 2"          # n m
     assert lines[1] == "2 2"          # max col/row degree
@@ -34,7 +35,8 @@ def test_alist_layout(tmp_path):
 @settings(max_examples=40)
 def test_alist_round_trip(tmp_path_factory, mat):
     path = tmp_path_factory.mktemp("alist") / "m.alist"
-    write_alist(mat, path)
+    with open(path, "w") as fh:
+        write_alist(mat, fh)
     assert read_alist(path) == mat
 
 
@@ -86,7 +88,8 @@ def test_alist_section_errors_carry_path_and_line(tmp_path, content, lineno,
 def test_partition_round_trip(tmp_path):
     p = Partition((1, 2, 1, 3, 2))
     path = tmp_path / "part.txt"
-    write_partition(p, path)
+    with open(path, "w") as fh:
+        write_partition(p, fh)
     assert path.read_text() == "1\n2\n1\n3\n2\n"
     back = read_partition(path)
     assert back.labels == p.labels and back.k == 3

@@ -243,15 +243,17 @@ class TestMonteCarlo:
     def test_csv(self, tmp_path):
         est = monte_carlo_average(validate(4, 2, 4), 100, seed=5)
         out = tmp_path / "mc.csv"
-        assert write_estimate_csv(est, out) == 15
+        with open(out, "w") as fh:
+            assert write_estimate_csv(est, fh) == 15
         assert out.read_text().splitlines()[0] == "s,m1,mean,stderr"
 
     def test_golden_csv_and_stdout_digests(self, tmp_path, capsys):
         # Recorded at the bench job's parameters before the estimate moved
         # from arrays to per-cell dicts; the bytes must not change.
         out = tmp_path / "mc.csv"
-        write_estimate_csv(monte_carlo_average(validate(8, 2, 4), 20000,
-                                               seed=0), out)
+        with open(out, "w") as fh:
+            write_estimate_csv(monte_carlo_average(validate(8, 2, 4), 20000,
+                                                   seed=0), fh)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "5ac6ab029980f936ffcfb87624e1eb03726ecf709e92688e2cbd5e8ce04a8334")
         assert main(["oracle", "-n", "8", "-g", "2", "-d", "4", "--mode",
