@@ -58,8 +58,6 @@ def cmd_dist(args) -> int:
     if eps is not None:  # checked before the table is built
         lo, hi = exact_distribution.balanced_first_part_range(params.m, eps)
     exact_distribution._check_table_budget(params)
-    expect = (oracle.exact_ensemble_average(params, cap=args.cap)
-              if args.check_oracle else None)
     print(f"ensemble: n={params.n} gamma={params.gamma} delta={params.delta} "
           f"m={params.m} xi={params.xi}")
 
@@ -84,13 +82,6 @@ def cmd_dist(args) -> int:
                                                    args.suppress_zeros)))
         if bout is not None:
             print(f"wrote {rows} balanced rows to {bout}")
-
-    if expect is not None:
-        same = expect == exact_distribution.cutsize_table(params)
-        print("oracle equality: "
-              + ("EXACT MATCH PASS" if same else "MISMATCH FAIL"))
-        if not same:
-            return 1
     return 0
 
 
@@ -240,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "column (exact; e.g. 0, 0.1, 1/3)")
     p.add_argument("-o", "--out", help="A-table CSV path")
     p.add_argument("--b-out", help="balanced-table CSV path")
-    p.add_argument("--check-oracle", action="store_true",
-                   help="verify against the exhaustive average over all "
-                        "socket permutations, walked by instance class")
     p.add_argument("--suppress-zeros", action="store_true")
-    add_cap(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("growth", help="balanced growth-rate curve")

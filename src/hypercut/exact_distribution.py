@@ -14,12 +14,13 @@ A full table walks G_s = p^s * q^(n-s) itself, row to row.  G_0 = q^n
 has C(n, r) at u^(gamma*r); dividing by q = 1 + u^gamma is exact while
 s < n, and multiplying by p gives G_(s+1) = (G_s / q) * p.  Each step costs
 O(gamma^2 * n) additions of big integers and small multiples of them, and no
-product of two big integers.  A single cell instead walks the powers p^s up
-to its s (``_cut_powers``) and expands q^t by the binomial theorem,
+product of two big integers.  A single cell instead walks p, p^2, ..., p^s
+in one loop (``_cell_factors``) and expands q^t by the binomial theorem,
 coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k - gamma*r)), so it does
-not pay for G_0 ... G_s; the two paths check each other in the tests.  They
-share one multiply-by-p step.  Coefficients are arbitrary-precision
-integers.
+not pay for G_0 ... G_s, and it builds only the C(t, r) that its u^k read;
+the two paths check each other in the tests.  They share one multiply-by-p
+step.  A single cell has its own budget, checked before either of its walks
+starts.  Coefficients are arbitrary-precision integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
@@ -40,7 +41,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .core import CapExceeded, _bipartition_ratio, _max_part_size
@@ -56,6 +56,16 @@ _MAX_TABLE_XI = 4000
 #: times the m + xi bits that bound each one.  (1000, 4, 4), at 5.0e9,
 #: peaks at 399 MiB and passes; (1000, 4, 2), at 1.2e10, does not.
 _MAX_TABLE_BITS = 6 * 10**9
+#: Largest (gamma-1)^2 * gamma * s^3 / 2 of a single cell: the walk to p^s
+#: makes about (gamma-1)^2 * s^2 / 2 multiply-adds of numbers below
+#: 2^(gamma*s).  It admits the (3, 6) cell at n = 20000, s = n/5 (3.8e11,
+#: 17.5 s); at the bound the walk took 2.4 s for gamma = 2 (s = 7368) and
+#: 21.8 s for gamma = 4 (s = 2811), Python 3.11 on a 2-core VM.
+_MAX_CELL_WORK = 4 * 10**11
+#: Largest n - s of a single cell: it reads binomials C(n - s, r) of up to
+#: n - s bits, and a balanced sum over every m1 reads the whole row, about
+#: 0.72 * (n-s)^2 bits.  At the bound that row took 0.8 s and 246 MiB.
+_MAX_CELL_ROW = 50_000
 
 
 def _times_p(poly: list[int], gamma: int) -> list[int]:
@@ -73,31 +83,38 @@ def _times_p(poly: list[int], gamma: int) -> list[int]:
     return out
 
 
-def _cut_powers(gamma: int) -> Iterator[list[int]]:
-    """Coefficient lists of p(u)^s for s = 0, 1, 2, ...
+def _check_cell_budget(gamma: int, s: int, n: int) -> None:
+    work = (gamma - 1) ** 2 * gamma * s ** 3 // 2
+    if work > _MAX_CELL_WORK:
+        raise CapExceeded(f"(gamma-1)^2*gamma*s^3/2 = {work} bit operations "
+                          f"of the p^s walk exceed the single-cell budget "
+                          f"{_MAX_CELL_WORK}")
+    if n - s > _MAX_CELL_ROW:
+        raise CapExceeded(f"n - s = {n - s} exceeds the single-cell budget "
+                          f"{_MAX_CELL_ROW} of the C(n - s, .) row")
 
-    Entry i of each list is the coefficient of u^i and the last entry is
-    nonzero; for gamma = 1, p^0 = [1] and every later power is empty.
+
+def _cell_factors(gamma: int, s: int, n: int,
+                  ks: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """(p^s, r0, row): p(u)^s, and row[i] = C(n - s, r0 + i) for the r that
+    the coefficients of u^k in p^s q^(n-s), k in ``ks``, read.
+
+    Entry i of p^s is the coefficient of u^i and its last entry is nonzero;
+    for gamma = 1, p^0 = [1] and every later power is empty.  u^k reads the
+    r with k - deg p^s <= gamma*r <= k.  A walk over its budget raises
+    CapExceeded before any work.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
+    _check_cell_budget(gamma, s, n)
     power = [1]
-    while True:
-        yield power
+    for _ in range(s):
         power = _times_p(power, gamma)
-
-
-def _cut_power(gamma: int, s: int) -> list[int]:
-    """Coefficient list of p(u)^s."""
-    return next(islice(_cut_powers(gamma), s, None))
-
-
-def _binomial_row(t: int) -> list[int]:
-    """[C(t, 0), C(t, 1), ..., C(t, t)]."""
-    row = [1]
-    for r in range(t):
+    t, r0 = n - s, max(0, -(-(min(ks) - len(power) + 1) // gamma))
+    row = [math.comb(t, r0)]
+    for r in range(r0, min(t, max(ks) // gamma)):
         row.append(row[-1] * (t - r) // (r + 1))
-    return row
+    return power, r0, row
 
 
 def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
@@ -110,7 +127,7 @@ def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
     difference H[k] = G[k] - H[k - gamma], exact while s < n.
     """
     prod = [0] * (gamma * n + 1)
-    prod[::gamma] = _binomial_row(n)  # q^n
+    prod[::gamma] = [math.comb(n, r) for r in range(n + 1)]  # q^n
     for _ in range(n):
         yield prod
         quot = prod[:len(prod) - gamma]
@@ -120,34 +137,17 @@ def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
     yield prod
 
 
-def _coeff(power: list[int], gamma: int, row: list[int], k: int) -> int:
-    """coef(p^s * q^t, u^k) from p^s = ``power`` and ``row`` = C(t, .).
+def _coeff(power: list[int], gamma: int, r0: int, row: list[int],
+           k: int) -> int:
+    """coef(p^s * q^t, u^k) from p^s = ``power`` and row[i] = C(t, r0 + i).
 
     q^t = sum_r C(t, r) u^(gamma*r), so only the r with 0 <= k - gamma*r
-    <= deg p^s contribute.
+    <= deg p^s contribute, and ``row`` must hold them.
     """
-    r_lo = max(0, -(-(k - len(power) + 1) // gamma))
-    r_hi = min(len(row) - 1, k // gamma)
-    return sum(row[r] * power[k - gamma * r] for r in range(r_lo, r_hi + 1))
-
-
-def _numerators(params: EnsembleParams, s: int, power: list[int],
-                 m1s: Iterable[int]) -> list[int]:
-    """C(m, m1) * C(n, s) * coef(p^s q^(n-s), u^(delta*m1)) for m1 in ``m1s``.
-
-    ``power`` is p^s.  Each is the numerator of avg(s, m1) over
-    C(delta*m, delta*m1), and is zero outside the support.
-    """
-    n, m, g, d = params.n, params.m, params.gamma, params.delta
-    c_ns = math.comb(n, s)
-    row = _binomial_row(n - s)
-    nums = []
-    for m1 in m1s:
-        coef = 0
-        if s <= d * m1 and s <= d * (m - m1):
-            coef = _coeff(power, g, row, d * m1)
-        nums.append(math.comb(m, m1) * c_ns * coef if coef else 0)
-    return nums
+    r_lo = max(r0, -(-(k - len(power) + 1) // gamma))
+    r_hi = min(r0 + len(row) - 1, k // gamma)
+    return sum(row[r - r0] * power[k - gamma * r]
+               for r in range(r_lo, r_hi + 1))
 
 
 def _ratio_sum(dens: Sequence[int]) -> Callable[[Sequence[int]], Fraction]:
@@ -171,24 +171,35 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if k < 0:
         return 0
-    return _coeff(_cut_power(gamma, s), gamma, _binomial_row(n - s), k)
+    power, r0, row = _cell_factors(gamma, s, n, [k])
+    return _coeff(power, gamma, r0, row, k)
 
 
 def _cells(params: EnsembleParams, s: int,
            m1s: Sequence[int]) -> tuple[list[int], list[int]]:
     """Table numerators and denominators of avg(s, m1) for m1 in ``m1s``.
 
-    Off-grid indices raise ValueError.  Unless some cell lies on the
-    support, the numerators are zeros and p^s is not walked.
+    The numerator is C(m, m1) * C(n, s) * coef(p^s q^(n-s), u^(delta*m1)),
+    and zero off the support s <= delta*min(m1, m - m1).  Off-grid indices
+    raise ValueError.  Unless some cell lies on the support, p^s is not
+    walked.
     """
-    n, m, d = params.n, params.m, params.delta
+    n, m, g, d = params.n, params.m, params.gamma, params.delta
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}")
     for m1 in m1s:
         if not 0 <= m1 <= m:
             raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
-    nums = (_numerators(params, s, _cut_power(params.gamma, s), m1s)
-            if any(s <= d * min(m1, m - m1) for m1 in m1s) else [0] * len(m1s))
+    supported = [s <= d * min(m1, m - m1) for m1 in m1s]
+    nums = [0] * len(m1s)
+    if any(supported):
+        ks = [d * m1 for m1, on in zip(m1s, supported) if on]
+        power, r0, row = _cell_factors(g, s, n, ks)
+        c_ns = math.comb(n, s)
+        for i, m1 in enumerate(m1s):
+            coef = _coeff(power, g, r0, row, d * m1) if supported[i] else 0
+            if coef:
+                nums[i] = math.comb(m, m1) * c_ns * coef
     return nums, [math.comb(d * m, d * m1) for m1 in m1s]
 
 

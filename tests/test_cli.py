@@ -75,17 +75,6 @@ class TestDist:
         assert a.read_text().splitlines()[0] == "s,m1,A_num,A_den"
         assert "2,48,35" in b.read_text().splitlines()
 
-    def test_check_oracle(self, capsys):
-        assert run("dist", "-n", 2, "-g", 2, "-d", 2, "--check-oracle") == 0
-        assert "EXACT MATCH PASS" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("n, delta", [(8, 4), (9, 3)])
-    def test_check_oracle_beyond_permutation_range(self, capsys, n, delta):
-        # xi! = 16! and 18!: reachable only by walking instance classes
-        assert run("dist", "-n", n, "-g", 2, "-d", delta,
-                   "--check-oracle") == 0
-        assert "EXACT MATCH PASS" in capsys.readouterr().out
-
     @pytest.mark.parametrize("suppress", [False, True])
     @pytest.mark.parametrize("eps", ["0", "1/10"])
     @pytest.mark.parametrize("n, gamma, delta", [
@@ -155,18 +144,13 @@ class TestDist:
         assert not a.exists() and not b.exists()
         assert "sum identity" not in capsys.readouterr().out
 
-    def test_check_oracle_mismatch(self, capsys, monkeypatch):
-        exact = oracle.exact_ensemble_average
-
-        def off_by_one(params, cap):
-            table = exact(params, cap=cap)
-            num = [list(row) for row in table.num]
-            num[2][1] += 1
-            return CutsizeTable(params, num, table.den)
-
-        monkeypatch.setattr(oracle, "exact_ensemble_average", off_by_one)
-        assert run("dist", "-n", 4, "-g", 2, "-d", 4, "--check-oracle") == 1
-        assert "oracle equality: MISMATCH FAIL" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag", [["--check-oracle"], ["--cap", "64"]])
+    def test_oracle_options_are_not_options(self, capsys, flag):
+        # the exhaustive comparison is the oracle subcommand's job
+        with pytest.raises(SystemExit) as exc:
+            run("dist", "-n", 4, "-g", 2, "-d", 4, *flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_large_gamma_over_table_budget_exits_2_at_once(self, capsys):
         # n = 2 is far below the n budget, but xi = gamma*n = 16000
@@ -476,6 +460,30 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "EXACT MATCH" in out
         assert "0,1,6,35" in out and "2,1,48,35" in out and "4,1,16,35" in out
+
+    def test_exhaustive_match_small(self, capsys):
+        assert run("oracle", "-n", 2, "-g", 2, "-d", 2) == 0
+        assert capsys.readouterr().out.endswith("\nEXACT MATCH\n")
+
+    @pytest.mark.parametrize("n, delta", [(8, 4), (9, 3)])
+    def test_exhaustive_match_beyond_permutation_range(self, capsys, n,
+                                                       delta):
+        # xi! = 16! and 18!: reachable only by walking instance classes
+        assert run("oracle", "-n", n, "-g", 2, "-d", delta) == 0
+        assert capsys.readouterr().out.endswith("\nEXACT MATCH\n")
+
+    def test_exhaustive_mismatch(self, capsys, monkeypatch):
+        exact = oracle.exact_ensemble_average
+
+        def off_by_one(params, cap):
+            table = exact(params, cap=cap)
+            num = [list(row) for row in table.num]
+            num[2][1] += 1
+            return CutsizeTable(params, num, table.den)
+
+        monkeypatch.setattr(oracle, "exact_ensemble_average", off_by_one)
+        assert run("oracle", "-n", 4, "-g", 2, "-d", 4) == 1
+        assert capsys.readouterr().out.endswith("\nMISMATCH\n")
 
     def test_exhaustive_csv_is_the_table_csv(self, tmp_path, capsys):
         out, ref = tmp_path / "a.csv", tmp_path / "ref.csv"

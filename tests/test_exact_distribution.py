@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import random
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -378,11 +379,12 @@ class TestBalanced:
                    for s in range(4))
 
     def test_table_distribution_matches_pointwise(self):
-        p = validate(6, 2, 3)  # m = 4
-        table = cutsize_table(p)
-        dist = table.balanced_distribution("1/4")
-        for s in range(7):
-            assert dist[s] == expected_balanced_bipartitions(p, s, "1/4")
+        for n, gamma, delta, eps in ((6, 2, 3, "1/4"), (12, 3, 4, "1/2"),
+                                     (20, 4, 5, "0.9")):
+            p = validate(n, gamma, delta)
+            dist = cutsize_table(p).balanced_distribution(eps)
+            for s in range(n + 1):
+                assert dist[s] == expected_balanced_bipartitions(p, s, eps)
 
 
 class TestLog2:
@@ -439,6 +441,35 @@ class TestLog2:
             ref = ((Decimal(exact.numerator).ln()
                     - Decimal(exact.denominator).ln()) / Decimal(2).ln())
             assert abs(got - ref) <= Decimal("2e-12")
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, s: expected_bipartitions(p, s, p.m // 2),
+        lambda p, s: log2_expected_bipartitions(p, s, p.m // 2),
+        lambda p, s: expected_balanced_bipartitions(p, s, 0),
+        lambda p, s: constellation_coeff(p.gamma, s, p.n, p.xi // 2)])
+    def test_cell_over_budget_refused_at_once(self, evaluate):
+        p = validate(10**6, 2, 4)
+        start = time.monotonic()
+        with pytest.raises(CapExceeded, match=(
+                r"= 1000000000000000 bit operations of the p\^s walk "
+                r"exceed the single-cell budget 400000000000")):
+            evaluate(p, 10**5)
+        assert time.monotonic() - start < 1.0
+
+    def test_long_row_refused_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(CapExceeded, match=(
+                r"n - s = 50001 exceeds the single-cell budget 50000 of the "
+                r"C\(n - s, \.\) row")):
+            constellation_coeff(2, 1, 50_002, 2)
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("gamma", [2, 3])
+    @pytest.mark.parametrize("s", [2000, 4000])
+    def test_reference_cells_within_budget(self, gamma, s):
+        # The n = 20000 cells of (2, 4) and (3, 6) at s = n/10 and n/5 stay
+        # exact references.
+        exact_distribution._check_cell_budget(gamma, s, 20000)
 
 
 class TestCsv:

@@ -27,14 +27,14 @@ CASES = {
          "--suppress-zeros"],
         {"stdout":
          "a941f02194d68eabebae73a60a59456cd8ec0c572da068f681e05a5ab077b61e"}),
-    "dist-check-oracle": (
-        ["dist", "-n", "9", "-g", "2", "-d", "3", "--check-oracle"],
-        {"stdout":
-         "24977c9dd0335364785ea79b327f047673ffafd319298ba972cc272950828483"}),
     "oracle-exhaustive-stdout": (
         ["oracle", "-n", "4", "-g", "2", "-d", "4"],
         {"stdout":
          "003fff5598d1b6117177527320b242c0b1790fcc7b79501c4719a22f52f7373e"}),
+    "oracle-exhaustive-class-walk": (
+        ["oracle", "-n", "9", "-g", "2", "-d", "3"],
+        {"stdout":
+         "7e0c84d6b334d9ca9633cc1657c80781e6bc3b3239497b590e84bcf633e0f0ed"}),
     "oracle-exhaustive-file": (
         ["oracle", "-n", "4", "-g", "2", "-d", "4", "-o", "oracle-a.csv"],
         {"stdout":
@@ -75,7 +75,22 @@ CASES = {
         ["sample", "-n", "8", "-g", "2", "-d", "4", "--seed", "11"],
         {"stdout":
          "1e5ba810720a0150d1f4dd7845a627c3ccb433c6758916df3d791d5ca4223ac4"}),
+    "check": (
+        ["check", "--alist", "s.alist", "--partition", "p.txt"],
+        {"stdout":
+         "3724f4f2c40e7aeea8ea515de12fe0098c8db1e7332d98a618b737054eea8eb7"}),
+    "check-capped": (
+        ["check", "--alist", "s.alist", "--partition", "p.txt",
+         "--cap", "16"],
+        {"stdout":
+         "c6d2dbd3bbce1a4eb403f937d8f6f51d1331b8a851c3353339ee427b270de8b1"}),
 }
+
+#: What ``check`` reads, written into its case's directory first: the
+#: instance of "sample-file" and a partition of its 4 vertices into 2 parts.
+CHECK_INPUTS = (["sample", "-n", "8", "-g", "2", "-d", "4", "--seed", "11",
+                 "-o", "s.alist"],
+                {"p.txt": "1\n1\n2\n2\n"})
 
 
 def _sha256(data: bytes) -> str:
@@ -87,6 +102,12 @@ def test_outputs_are_pinned(case, tmp_path, monkeypatch, capsys):
     argv, digests = CASES[case]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HYPERCUT_OUTDIR", raising=False)
+    if argv[0] == "check":
+        sample_argv, files = CHECK_INPUTS
+        assert main(sample_argv) == 0
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        capsys.readouterr()
     assert main(argv) == 0
     got = {"stdout": _sha256(capsys.readouterr().out.encode())}
     got.update((name, _sha256((tmp_path / name).read_bytes()))
