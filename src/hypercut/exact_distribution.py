@@ -59,8 +59,9 @@ _MAX_TABLE_BITS = 6 * 10**9
 #: Largest (gamma-1)^2 * gamma * s^3 / 2 of a single cell: the walk to p^s
 #: makes about (gamma-1)^2 * s^2 / 2 multiply-adds of numbers below
 #: 2^(gamma*s).  It admits the (3, 6) cell at n = 20000, s = n/5 (3.8e11,
-#: 17.5 s); at the bound the walk took 2.4 s for gamma = 2 (s = 7368) and
-#: 21.8 s for gamma = 4 (s = 2811), Python 3.11 on a 2-core VM.
+#: 7.2 s); at the bound the walk took 1.2-1.3 s for gamma = 2 (s = 7368)
+#: and 14-20 s for gamma = 4 (s = 2811), Python 3.11 on a 2-core VM, so
+#: the cost per unit still grows about elevenfold from gamma = 2 to 4.
 _MAX_CELL_WORK = 4 * 10**11
 #: Largest n - s of a single cell: it reads binomials C(n - s, r) of up to
 #: n - s bits, and a balanced sum over every m1 reads the whole row, about
@@ -75,11 +76,14 @@ def _times_p(poly: list[int], gamma: int) -> list[int]:
     net is cut iff 1 to gamma-1 of its sockets are active), so for gamma = 1
     it is zero and the product is empty.
     """
-    out = [0] * (len(poly) + gamma - 1) if gamma > 1 else []
-    for j in range(1, gamma):
-        c = math.comb(gamma, j)
-        for i, a in enumerate(poly, j):
-            out[i] += c * a
+    if gamma < 2:
+        return []
+    first = [gamma * a for a in poly]  # C(gamma, 1) = C(gamma, gamma - 1)
+    out = [0, *first] + [0] * (gamma - 2)
+    for j in range(2, gamma):
+        c, end = math.comb(gamma, j), j + len(poly)
+        term = first if j == gamma - 1 else [c * a for a in poly]
+        out[j:end] = map(operator.add, out[j:end], term)
     return out
 
 
@@ -124,15 +128,21 @@ def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
     list ends there (for gamma = 1, p = 0 and every G_s past G_0 is empty),
     and its entries below u^s are zero.  G_(s+1) is
     (G_s / q) * p, where the quotient H by q = 1 + u^gamma is the running
-    difference H[k] = G[k] - H[k - gamma], exact while s < n.
+    difference H[k] = G[k] - H[k - gamma], exact while s < n.  It runs on
+    each residue class of k mod gamma in turn, and a class that is all
+    zero stays zero: for gamma = 2, G_s has only exponents of the parity
+    of s, so half the classes are skipped at every step.
     """
     prod = [0] * (gamma * n + 1)
     prod[::gamma] = [math.comb(n, r) for r in range(n + 1)]  # q^n
     for _ in range(n):
         yield prod
         quot = prod[:len(prod) - gamma]
-        for k in range(gamma, len(quot)):
-            quot[k] -= quot[k - gamma]
+        for r in range(gamma):
+            col = quot[r::gamma]
+            if any(col):
+                h = 0
+                quot[r::gamma] = [h := g - h for g in col]
         prod = _times_p(quot, gamma)
     yield prod
 
@@ -380,18 +390,20 @@ def _table_rows(params: EnsembleParams,
     """Numerator rows of the exact table over ``den``, for s = 0, ..., n.
 
     Walks G_s = p^s * q^(n-s) from s = 0 to n (``_cut_products``) and reads
-    row s as C(m, m1) * C(n, s) * G_s[delta*m1]; an index past the end of
-    G_s gives 0.  The support needs no mask, because G_s is zero below u^s
-    and above u^(gamma*n - s).  Each row passes ``_RowChecker`` before it
-    is yielded, and the column sums are checked after the last one, so a
-    consumer that exhausts the stream has read a verified table.
+    row s as C(m, m1) * C(n, s) * G_s[delta*m1], from G_s[::delta]; the
+    columns past the end of G_s are 0.  The support needs no mask, because
+    G_s is zero below u^s and above u^(gamma*n - s).  Each row passes
+    ``_RowChecker`` before it is yielded, and the column sums are checked
+    after the last one, so a consumer that exhausts the stream has read a
+    verified table.
     """
     n, m, g, d = params.n, params.m, params.gamma, params.delta
-    cols = [(math.comb(m, m1), d * m1) for m1 in range(m + 1)]
+    c_m = [math.comb(m, m1) for m1 in range(m + 1)]
     checker = _RowChecker(params, den)
     for s, prod in enumerate(_cut_products(n, g)):
         c_ns = math.comb(n, s)
-        row = [c * c_ns * prod[k] if k < len(prod) else 0 for c, k in cols]
+        row = [c_ns * a * c for c, a in zip(c_m, prod[::d])]
+        row += [0] * (m + 1 - len(row))
         checker.check(s, row)
         yield row
     checker.finish()
@@ -403,13 +415,14 @@ def cutsize_table(params: EnsembleParams) -> CutsizeTable:
     Collects the checked rows of ``_table_rows``: integer numerators over
     C(delta*m, delta*m1); no Fraction is built here.
 
-    Cost, validation included (Python 3.11 on a 2-core Xeon VM, one fresh
-    interpreter per table; time, and peak RSS at n = 1000):
+    Cost, validation included (Python 3.11 on a shared 2-core Xeon VM, one
+    fresh interpreter per table, range of 6 runs; time, and peak RSS at
+    n = 1000):
 
-        (gamma, delta)   n = 400    n = 1000
-        (2, 4)           0.10 s     1.2-1.4 s,  60 MiB
-        (3, 6)           0.33 s     3.7-4.1 s, 147 MiB
-        (4, 8)           0.58 s     7.2-7.7 s, 193 MiB
+        (gamma, delta)   n = 400         n = 1000
+        (2, 4)           0.05-0.10 s     0.6-0.9 s,  56 MiB
+        (3, 6)           0.16-0.25 s     2.0-3.4 s, 144 MiB
+        (4, 8)           0.27-0.51 s     4.9-7.9 s, 194 MiB
 
     ``_MAX_TABLE_N`` stops at n = 1000 and ``_MAX_TABLE_XI`` at
     xi = gamma*n = 4000, where (1000, 4, 8) sits.  The table holds every
@@ -452,24 +465,27 @@ def write_table_rows(rows: Iterable[Sequence[int]], den: Sequence[int],
     """
     count = 0
     fh.write("s,m1,A_num,A_den\n")
+    zeros = [f"{m1},0,1\n" for m1 in range(len(den))]
     for s, row in enumerate(rows):
         last = len(row) - 1
         texts = {}
         lines = []
-        for m1, (a, b) in enumerate(zip(row, den)):
+        for m1, a in enumerate(row):
             if a == 0:
                 if not suppress_zeros:
-                    lines.append(f"{s},{m1},0,1\n")
+                    lines.append(zeros[m1])
                 continue
-            mirror = last - m1
+            b, mirror = den[m1], last - m1
             if mirror < m1 and row[mirror] == a and den[mirror] == b:
                 text = texts[mirror]
             else:
                 g = math.gcd(a, b)
                 text = texts[m1] = f"{a // g},{b // g}\n"
-            lines.append(f"{s},{m1},{text}")
-        fh.write("".join(lines))
-        count += len(lines)
+            lines.append(f"{m1},{text}")
+        if lines:
+            prefix = f"{s},"
+            fh.write(prefix + prefix.join(lines))
+            count += len(lines)
     return count
 
 

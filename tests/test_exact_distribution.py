@@ -21,6 +21,7 @@ from hypercut.exact_distribution import (CutsizeTable,
                                          expected_balanced_bipartitions,
                                          expected_bipartitions,
                                          log2_expected_bipartitions,
+                                         stream_table_csv,
                                          write_balanced_rows,
                                          write_table_rows)
 from hypercut.oracle import exact_ensemble_average
@@ -55,13 +56,53 @@ def naive_pow(a, e):
     return out
 
 
-def naive_coef(gamma, s, n, k):
+def naive_p_q(gamma):
+    """Coefficient lists of p(u) = (1+u)^gamma - 1 - u^gamma, trimmed, and
+    q(u) = 1 + u^gamma."""
     p = [0] + [math.comb(gamma, j) for j in range(1, gamma)]
     while p and p[-1] == 0:
         p.pop()
-    q = [1] + [0] * (gamma - 1) + [1]
+    return p, [1] + [0] * (gamma - 1) + [1]
+
+
+def naive_coef(gamma, s, n, k):
+    p, q = naive_p_q(gamma)
     prod = naive_mul(naive_pow(p, s), naive_pow(q, n - s))
     return prod[k] if 0 <= k < len(prod) else 0
+
+
+def double_factorial(k):
+    """k!! for k >= -1, with (-1)!! = 0!! = 1."""
+    return math.prod(range(k, 0, -2))
+
+
+def gamma2_cells(n, delta):
+    """Every cell A(s, m1) of E(n, 2, delta) from the pairing count.
+
+    For gamma = 2 an instance pairs the xi = 2n sockets.  With a = delta*m1
+    sockets in U1 and b = delta*(m - m1) in U2, a pairing with s cut nets
+    picks s sockets on each side, matches them across in s! ways and pairs
+    the rest within each side; none exists unless a - s and b - s are even
+    (Bollobas, Europ. J. Combin. 9, 1988).  So
+
+        A(s, m1) = C(m, m1) C(a, s) C(b, s) s! (a-s-1)!! (b-s-1)!! / (xi-1)!!
+
+    and no polynomial is built.  Returns {(s, m1): Fraction}.
+    """
+    m = 2 * n // delta
+    pairings = double_factorial(2 * n - 1)
+    cells = {}
+    for m1 in range(m + 1):
+        a, b = delta * m1, delta * (m - m1)
+        for s in range(n + 1):
+            if s > min(a, b) or (a - s) % 2 or (b - s) % 2:
+                cells[s, m1] = Fraction(0)
+                continue
+            count = (math.comb(m, m1) * math.comb(a, s) * math.comb(b, s)
+                     * math.factorial(s) * double_factorial(a - s - 1)
+                     * double_factorial(b - s - 1))
+            cells[s, m1] = Fraction(count, pairings)
+    return cells
 
 
 def _params(n, g, d):
@@ -97,6 +138,37 @@ class TestConstellationCoeff:
         s = data.draw(st.integers(0, n))
         k = data.draw(st.integers(0, gamma * n + 1))
         assert constellation_coeff(gamma, s, n, k) == naive_coef(gamma, s, n, k)
+
+
+class TestWalk:
+    def test_products_match_naive(self):
+        # Every G_s = p^s q^(n-s) of the table walk, against the schoolbook
+        # product, which shares no code with it.
+        for gamma in range(1, 6):
+            p, q = naive_p_q(gamma)
+            for n in range(11):
+                walk = list(exact_distribution._cut_products(n, gamma))
+                assert len(walk) == n + 1
+                for s, prod in enumerate(walk):
+                    want = naive_mul(naive_pow(p, s), naive_pow(q, n - s))
+                    assert prod == want, (gamma, n, s)
+
+    def test_times_p_matches_naive(self):
+        # The product keeps the length len(poly) + gamma - 1 (empty for
+        # gamma = 1), so the schoolbook product, which trims, is padded.
+        rng = random.Random(24)
+        polys = [[], [0], [0, 0, 0], [1], [5, 0, 0, 0, 7]]
+        for _ in range(40):
+            polys.append([rng.choice([0, 0, 0, rng.randint(-10**30, 10**30)])
+                          for _ in range(rng.randint(1, 14))])
+        for gamma in range(1, 7):
+            p, _ = naive_p_q(gamma)
+            for poly in polys:
+                got = exact_distribution._times_p(poly, gamma)
+                assert len(got) == (len(poly) + gamma - 1 if gamma > 1 else 0)
+                want = naive_mul(poly, p)
+                assert got == want + [0] * (len(got) - len(want)), (
+                    gamma, poly)
 
 
 # -------------------------------------------------- distribution values
@@ -387,6 +459,34 @@ class TestBalanced:
                 assert dist[s] == expected_balanced_bipartitions(p, s, eps)
 
 
+class TestGammaTwoReference:
+    """The gamma = 2 table against the closed pairing count of
+    ``gamma2_cells``, at sizes where cells run to hundreds of digits.  The
+    largest m checked is 100."""
+
+    @pytest.mark.parametrize("n, delta", [
+        (6, 3), (30, 5), (99, 6), (150, 4), (200, 4)])
+    def test_table_matches_pairing_count(self, n, delta):
+        params = validate(n, 2, delta)
+        table = cutsize_table(params)
+        ref = gamma2_cells(n, delta)
+        for s, row in enumerate(table.num):
+            for m1, (a, b) in enumerate(zip(row, table.den)):
+                assert Fraction(a, b) == ref[s, m1], (s, m1)
+
+    @pytest.mark.parametrize("epsilon", [0, Fraction(1, 10)])
+    @pytest.mark.parametrize("n, delta", [(99, 6), (150, 4), (200, 4)])
+    def test_streamed_balanced_matches_pairing_count(self, n, delta, epsilon):
+        params = validate(n, 2, delta)
+        rows, balanced = stream_table_csv(params, io.StringIO(), epsilon)
+        assert rows == (n + 1) * (params.m + 1)
+        ref = gamma2_cells(n, delta)
+        lo, hi = balanced_first_part_range(params.m, epsilon)
+        assert balanced == [sum((ref[s, m1] for m1 in range(lo, hi + 1)),
+                                start=Fraction(0))
+                            for s in range(n + 1)]
+
+
 class TestLog2:
     def test_frozen_value(self):
         p = validate(4, 2, 4)
@@ -509,6 +609,38 @@ class TestCsv:
         assert got == want and rows == len(want)
         table = CutsizeTable(_params(4, 2, 2), num, [20, 8, 6, 8, 15])
         assert "4,4,4,15" in _a_text(table).splitlines()
+
+    @staticmethod
+    def _assert_matches_reference(rows, den, suppress_zeros):
+        """write_table_rows against the A CSV written plainly: one Fraction
+        and one line per cell."""
+        lines = ["s,m1,A_num,A_den\n"]
+        for s, row in enumerate(rows):
+            for m1, (a, b) in enumerate(zip(row, den)):
+                if a or not suppress_zeros:
+                    v = Fraction(a, b)
+                    lines.append(f"{s},{m1},{v.numerator},{v.denominator}\n")
+        out = io.StringIO()
+        count = write_table_rows(rows, den, out, suppress_zeros)
+        assert (count, out.getvalue()) == (len(lines) - 1, "".join(lines))
+
+    @pytest.mark.parametrize("suppress_zeros", [False, True])
+    def test_matches_reference_writer(self, suppress_zeros):
+        table = cutsize_table(validate(60, 2, 4))
+        assert not any(map(any, table.num[1::2]))  # every odd-s row is zero
+        self._assert_matches_reference(table.num, table.den, suppress_zeros)
+
+    @pytest.mark.parametrize("suppress_zeros", [False, True])
+    def test_den_not_mirrored_matches_reference_writer(self, suppress_zeros):
+        # Symmetric rows over a den that is not a palindrome: no cell may
+        # take its mirror's text, since den[m1] != den[m - m1].
+        rows = [[4, 6, 3, 6, 4], [0, 9, 0, 9, 0], [10, 0, 5, 0, 10]]
+        self._assert_matches_reference(rows, [20, 8, 6, 9, 15],
+                                       suppress_zeros)
+
+    @pytest.mark.parametrize("suppress_zeros", [False, True])
+    def test_no_rows_writes_the_header_only(self, suppress_zeros):
+        self._assert_matches_reference([], [1, 2, 1], suppress_zeros)
 
     def test_balanced_csv(self):
         table = cutsize_table(validate(4, 2, 4))
