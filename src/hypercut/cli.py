@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import asymptotics, exact_distribution, oracle
-from .core import (DEFAULT_ENUM_CAP, CapExceeded, _min_cut_scan, as_ratio,
+from .core import (CapExceeded, _min_cut_scan, as_ratio,
                    check_block_diagonalizable, matrix_from_hypergraph)
 from .ensemble import RNG_ALGORITHM, sample, validate
 from .formats import read_alist, read_partition, write_alist
@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
     # One scan over K serves both the partition's own K and the max degree.
     kmax, k = 1, 0
     try:
-        for k, mincut, kmax in _min_cut_scan(mat, eps, args.cap):
+        for k, mincut, kmax in _min_cut_scan(mat, eps):
             if k == part.k:
                 if mincut is None:
                     raise ValueError(f"no {eps}-balanced partition into {k} "
@@ -180,7 +180,7 @@ def cmd_oracle(args) -> int:
     out = _outpath(args.out)
 
     if args.mode == "exhaustive":
-        avg = oracle.exact_ensemble_average(params, cap=args.cap)
+        avg = oracle.exact_ensemble_average(params)
         exact_distribution.write_table_rows(avg.num, avg.den, sys.stdout,
                                             suppress_zeros=True)
         if out is not None:
@@ -191,8 +191,7 @@ def cmd_oracle(args) -> int:
         print("EXACT MATCH" if match else "MISMATCH")
         return 0 if match else 1
 
-    est = oracle.monte_carlo_average(params, args.samples, args.seed,
-                                     cap=args.cap)
+    est = oracle.monte_carlo_average(params, args.samples, args.seed)
     bad = 0
     for s in range(params.n + 1):
         for m1 in range(params.m + 1):
@@ -215,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cutsize distributions, growth rates and block-diagonal "
                     "encodability checks for regular hypergraph ensembles.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_cap(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
-                       help="enumeration budget (assignments)")
 
     def add_seed(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -265,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-e", "--epsilon", default="0")
     p.add_argument("-K", "--parts", type=int,
                    help="expected part count (default: max label)")
-    add_cap(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle",
@@ -277,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("-o", "--out", help="CSV output path")
-    add_cap(p)
     add_seed(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -31,8 +31,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-#: Default ceiling on the number of enumerated items (assignments K^m,
-#: socket permutations xi!, ...) accepted by exhaustive routines.
+#: The one bound on every exhaustive routine, read at call time: the nominal
+#: K^m labelings of the minimum-cut search, the xi! permutations of
+#: ``enumerate_all``, the 2^m assignments of ``count_bipartitions`` and of a
+#: Monte Carlo class, and the assignments the exhaustive class walk visits.
 DEFAULT_ENUM_CAP = 1 << 24
 
 #: Largest |decimal exponent| ``as_ratio`` reads in a string; the parse time
@@ -412,8 +414,8 @@ def check_block_diagonalizable(mat: BinaryMatrix, p: Partition,
                                                 if j not in diag]))
 
 
-def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
-                           cap: int = DEFAULT_ENUM_CAP) -> tuple[int, Partition]:
+def min_cutsize_bruteforce(h: Hypergraph, parts: int,
+                           epsilon) -> tuple[int, Partition]:
     """Exact minimum cutsize over eps-balanced ``parts``-way partitions.
 
     A depth-first branch and bound over restricted-growth label strings
@@ -426,11 +428,11 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     cut, so the first minimiser in ``itertools.product`` order is its own
     restricted-growth form; that labeling is the argmin returned.
 
-    Still exponential, so it is only usable at desk scale; ``cap`` gates the
-    nominal parts^m assignments, not the labelings visited.  Raises
-    ValueError before searching when no eps-balanced partition exists
-    (parts * max part size < m); that is checked before the cap, so a
-    ``CapExceeded`` always names a K the search would otherwise run.
+    Still exponential: ``DEFAULT_ENUM_CAP`` gates the nominal parts^m
+    assignments, not the labelings visited.  Raises ValueError before
+    searching when no eps-balanced partition exists (parts * max part size
+    < m); that is checked before the cap, so a ``CapExceeded`` always names
+    a K the search would otherwise run.
     """
     m = h.vertex_count
     if parts < 1:
@@ -442,8 +444,9 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     if parts * limit < m:
         raise ValueError(f"no {epsilon}-balanced partition into {parts} "
                          f"non-empty parts exists for {m} vertices")
-    if parts ** m > cap:
-        raise CapExceeded(f"{parts}^{m} assignments exceed cap {cap}")
+    if parts ** m > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"{parts}^{m} assignments exceed cap "
+                          f"{DEFAULT_ENUM_CAP}")
 
     # Net j is cut once a vertex of its support takes a part other than the
     # one its first vertex opened it in.  Per vertex, as net bitmasks: the
@@ -494,12 +497,12 @@ def min_cutsize_bruteforce(h: Hypergraph, parts: int, epsilon,
     return best_cut, Partition(best, parts)
 
 
-def _min_cut_scan(mat: BinaryMatrix, epsilon, cap: int
-                  ) -> Iterator[tuple[int, int | None, int]]:
+def _min_cut_scan(mat: BinaryMatrix,
+                  epsilon) -> Iterator[tuple[int, int | None, int]]:
     """Yield (K, min cutsize over eps-balanced K-way partitions or None if
     there is none, largest K' <= K with n - m >= min cutsize, or 1) for
     K = 1..m.  Raises ``CapExceeded`` at the first K that has an
-    eps-balanced partition and whose K^m assignments exceed ``cap``, as
+    eps-balanced partition and whose K^m assignments exceed the cap, as
     every later K would too.  eps is read once, before K = 1, so a bad eps
     raises ``as_ratio``'s error instead of reading as "no partition"."""
     epsilon = as_ratio(epsilon)
@@ -508,7 +511,7 @@ def _min_cut_scan(mat: BinaryMatrix, epsilon, cap: int
     best = 1
     for k in range(1, mat.rows + 1):
         try:
-            mincut = min_cutsize_bruteforce(h, k, epsilon, cap=cap)[0]
+            mincut = min_cutsize_bruteforce(h, k, epsilon)[0]
         except CapExceeded:  # a ValueError too, but it ends the scan
             raise
         except ValueError:
@@ -518,13 +521,12 @@ def _min_cut_scan(mat: BinaryMatrix, epsilon, cap: int
         yield k, mincut, best
 
 
-def max_parallel_degree(mat: BinaryMatrix, epsilon,
-                        cap: int = DEFAULT_ENUM_CAP) -> int:
+def max_parallel_degree(mat: BinaryMatrix, epsilon) -> int:
     """Largest K with n - m >= min cutsize over eps-balanced K-way partitions.
 
     Returns 1 when no K >= 2 qualifies.  All K in [2, m] are scanned:
     existence of a balanced partition is not monotone in K (odd m with
     eps = 0 has no balanced bipartition but a balanced m-way partition).
     """
-    return max((best for _, _, best in _min_cut_scan(mat, epsilon, cap)),
+    return max((best for _, _, best in _min_cut_scan(mat, epsilon)),
                default=1)

@@ -20,7 +20,8 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph
+from . import core
+from .core import CapExceeded, Hypergraph
 
 #: RNG used by ``sample``: Python's Mersenne Twister (MT19937) driving the
 #: package's own Fisher-Yates shuffle (``_shuffles``), which is unbiased over
@@ -176,9 +177,9 @@ def enumerate_all(params: EnsembleParams):
     the first instance when xi! exceeds ``DEFAULT_ENUM_CAP``.
     """
     total = math.factorial(params.xi)
-    if total > DEFAULT_ENUM_CAP:
+    if total > core.DEFAULT_ENUM_CAP:
         raise CapExceeded(f"xi! = {params.xi}! = {total} permutations "
-                          f"exceed cap {DEFAULT_ENUM_CAP}")
+                          f"exceed cap {core.DEFAULT_ENUM_CAP}")
     for perm in itertools.permutations(range(params.xi)):
         yield _instance(params, perm)
 

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-from .core import DEFAULT_ENUM_CAP, CapExceeded, Hypergraph, _cut
+from . import core
+from .core import CapExceeded, Hypergraph, _cut
 # ``enumerate_all`` is unused here, but bench/selftest.py ``check_restore``
 # asserts that the tracer wraps ``hypercut.oracle.enumerate_all``.
 from .ensemble import (EnsembleParams, _sampled_classes,  # noqa: F401
@@ -25,14 +26,15 @@ from .ensemble import (EnsembleParams, _sampled_classes,  # noqa: F401
 from .exact_distribution import CutsizeTable
 
 
-def count_bipartitions(h: Hypergraph,
-                       cap: int = DEFAULT_ENUM_CAP) -> dict[tuple[int, int], int]:
+def count_bipartitions(h: Hypergraph) -> dict[tuple[int, int], int]:
     """Histogram (cutsize, |U1|) -> count over all 2^m labeled assignments.
 
     Every assignment is counted, including the two with an empty part
     (binned at |U1| = 0 and |U1| = m), so the counts always total 2^m.
+    Raises ``CapExceeded`` first when 2^m exceeds ``DEFAULT_ENUM_CAP``.
     """
     m = h.vertex_count
+    cap = core.DEFAULT_ENUM_CAP
     if 1 << m > cap:
         raise CapExceeded(f"2^{m} assignments exceed cap {cap}")
     masks = h.support_masks
@@ -44,19 +46,19 @@ def count_bipartitions(h: Hypergraph,
     return counts
 
 
-def _class_sums(classes: Iterable[tuple[Hypergraph, int]], m: int, cap: int
+def _class_sums(classes: Iterable[tuple[Hypergraph, int]], m: int
                 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """Weighted sums of the counts and of their squares, per (cutsize, |U1|)
     cell, over ``(instance, weight)`` pairs on m vertices.
 
     The counts depend only on the multiset of an instance's nets, so each
     pair stands for ``weight`` instances and ``count_bipartitions`` runs
-    once per pair.  The cap counts the work as it is done, 2^m assignments
-    per pair visited; the walk stops as soon as the total passes it.
+    once per pair.  ``DEFAULT_ENUM_CAP`` counts the work as it is done,
+    2^m assignments per pair visited; the walk stops as soon as the total
+    passes it, before that pair is counted.
     """
+    cap = core.DEFAULT_ENUM_CAP
     cost = 1 << m
-    if cost > cap:
-        raise CapExceeded(f"2^{m} assignments per class exceed cap {cap}")
     visited = 0
     sums: dict[tuple[int, int], int] = {}
     sumsq: dict[tuple[int, int], int] = {}
@@ -65,23 +67,22 @@ def _class_sums(classes: Iterable[tuple[Hypergraph, int]], m: int, cap: int
         if visited > cap:
             raise CapExceeded(f"{visited} assignments visited "
                               f"(2^{m} per class) against cap {cap}")
-        for key, c in count_bipartitions(h, cap=cap).items():
+        for key, c in count_bipartitions(h).items():
             sums[key] = sums.get(key, 0) + weight * c
             sumsq[key] = sumsq.get(key, 0) + weight * c * c
     return sums, sumsq
 
 
-def exact_ensemble_average(params: EnsembleParams,
-                           cap: int = DEFAULT_ENUM_CAP) -> CutsizeTable:
+def exact_ensemble_average(params: EnsembleParams) -> CutsizeTable:
     """Average ``count_bipartitions`` over all xi! socket permutations.
 
     The walk visits each class of ``instance_classes`` once and weights its
     counts by the class's permutation count, so it never builds the xi!
-    instances.  ``cap`` bounds the assignments counted, 2^m per class.
-    Exact table on the full (s, m1) grid, integer totals over xi!; the
-    structural identities are verified on construction.
+    instances.  ``DEFAULT_ENUM_CAP`` bounds the assignments counted, 2^m
+    per class.  Exact table on the full (s, m1) grid, integer totals over
+    xi!; the structural identities are verified on construction.
     """
-    totals, _ = _class_sums(instance_classes(params), params.m, cap)
+    totals, _ = _class_sums(instance_classes(params), params.m)
     fact = math.factorial(params.xi)
     num = [[totals.get((s, m1), 0) for m1 in range(params.m + 1)]
            for s in range(params.n + 1)]
@@ -101,22 +102,24 @@ class MonteCarloEstimate:
     stderr: dict[tuple[int, int], float]  # keyed like ``mean``
 
 
-def monte_carlo_average(params: EnsembleParams, samples: int, seed: int,
-                        cap: int = DEFAULT_ENUM_CAP) -> MonteCarloEstimate:
+def monte_carlo_average(params: EnsembleParams, samples: int,
+                        seed: int) -> MonteCarloEstimate:
     """Estimate the cutsize table from independent sampled instances.
 
     Accumulation is exact integer arithmetic; mean and standard error of
     the mean are computed at the end.  Reproducible: one RNG stream is
-    seeded once and drawn sequentially.
+    seeded once and drawn sequentially.  ``DEFAULT_ENUM_CAP`` bounds 2^m
+    before the first draw, then the assignments of the classes drawn.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    cap = core.DEFAULT_ENUM_CAP
     if 1 << params.m > cap:
         raise CapExceeded(f"2^{params.m} assignments exceed cap {cap}")
     classes = _sampled_classes(params, random.Random(seed), samples)
     sums, sumsq = _class_sums(((Hypergraph(params.m, nets), mult)
                                for nets, mult in classes.items()),
-                              params.m, cap)
+                              params.m)
 
     grid = [(s, m1) for s in range(params.n + 1)
             for m1 in range(params.m + 1)]

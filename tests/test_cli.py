@@ -330,12 +330,14 @@ class TestSampleAndCheck:
         out = capsys.readouterr().out
         assert "min cutsize over eps-balanced 2-way partitions:" in out
 
-    def test_check_reports_solved_degrees_at_cap(self, tmp_path, capsys):
+    def test_check_reports_solved_degrees_at_cap(self, tmp_path, capsys,
+                                                 monkeypatch):
         alist, part = _identity_instance(tmp_path, (1, 1, 2, 2))
         # 2^4 = 16 assignments fit the cap; K = 3 has no 0-balanced
         # partition of 4 vertices, so the budget stop is at 4^4 = 256.
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 16)
         assert run("check", "--alist", alist, "--partition", part,
-                   "-e", "0", "--cap", 16) == 0
+                   "-e", "0") == 0
         out = capsys.readouterr().out
         assert "min cutsize over eps-balanced 2-way partitions: 0" in out
         assert "brute force stopped at K = 4: 4^4 assignments exceed cap 16" \
@@ -475,8 +477,8 @@ class TestOracle:
     def test_exhaustive_mismatch(self, capsys, monkeypatch):
         exact = oracle.exact_ensemble_average
 
-        def off_by_one(params, cap):
-            table = exact(params, cap=cap)
+        def off_by_one(params):
+            table = exact(params)
             num = [list(row) for row in table.num]
             num[2][1] += 1
             return CutsizeTable(params, num, table.den)
@@ -500,11 +502,22 @@ class TestOracle:
         assert lines[0] == "s,m1,mean,stderr"
         assert len(lines) - 1 == (4 + 1) * (2 + 1)
 
-    def test_cap_exceeded(self, capsys):
+    def test_cap_exceeded(self, capsys, monkeypatch):
         # 15 classes of 2^3 assignments each; the walk stops past 64
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 64)
         assert run("oracle", "-n", 6, "-g", 2, "-d", 4,
-                   "--mode", "exhaustive", "--cap", 64) == 2
+                   "--mode", "exhaustive") == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--alist", "a.alist", "--partition", "p.txt", "--cap", 16],
+        ["oracle", "-n", 4, "-g", 2, "-d", 4, "--cap", 64]])
+    def test_cap_is_not_an_option(self, capsys, argv):
+        # every exhaustive routine reads core.DEFAULT_ENUM_CAP
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
 
     def test_montecarlo(self, capsys):
         assert run("oracle", "-n", 4, "-g", 2, "-d", 4, "--mode", "montecarlo",

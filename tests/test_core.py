@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercut import core
 from hypercut.core import (BinaryMatrix, CapExceeded, EncodabilityVerdict,
                            Hypergraph, Partition, as_ratio,
                            check_block_diagonalizable, cutsize, gf2_rank, hypergraph_from_matrix, is_balanced,
@@ -452,16 +453,18 @@ class TestMinCutsizeBruteforce:
         with pytest.raises(ValueError, match="non-empty"):
             min_cutsize_bruteforce(Hypergraph(2, ((0, 1),)), 3, 0)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         h = Hypergraph(6, ((0, 1),))
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 10)
         with pytest.raises(CapExceeded):
-            min_cutsize_bruteforce(h, 2, 0, cap=10)
+            min_cutsize_bruteforce(h, 2, 0)
 
-    def test_feasibility_checked_before_cap(self):
+    def test_feasibility_checked_before_cap(self, monkeypatch):
         # 3 parts of at most floor(4/3) = 1 vertex cannot hold 4, so no
         # budget stop is reported for a K the search would never run
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 1)
         with pytest.raises(ValueError, match="no 0-balanced") as info:
-            min_cutsize_bruteforce(Hypergraph(4, ((0, 1),)), 3, 0, cap=1)
+            min_cutsize_bruteforce(Hypergraph(4, ((0, 1),)), 3, 0)
         assert not isinstance(info.value, CapExceeded)
 
     def test_monotone_in_parts(self):

@@ -105,6 +105,33 @@ def gamma2_cells(n, delta):
     return cells
 
 
+def _ln_factorial(k):
+    return math.lgamma(k + 1)
+
+
+def _ln_comb(k, j):
+    return _ln_factorial(k) - _ln_factorial(j) - _ln_factorial(k - j)
+
+
+def _ln_pairings(k):
+    """ln (2k-1)!!, the pairings of 2k sockets: (2k)! / (2^k k!)."""
+    return _ln_factorial(2 * k) - k * math.log(2) - _ln_factorial(k)
+
+
+def gamma2_log2_cell(n, delta, s, m1):
+    """log2 of the cell A(s, m1) of ``gamma2_cells``, from the same pairing
+    count written with ``math.lgamma``, so it costs O(1) at any n; -inf
+    where the count is 0."""
+    m = 2 * n // delta
+    a, b = delta * m1, delta * (m - m1)
+    if s > min(a, b) or (a - s) % 2 or (b - s) % 2:
+        return float("-inf")
+    ln = (_ln_comb(m, m1) + _ln_comb(a, s) + _ln_comb(b, s)
+          + _ln_factorial(s) + _ln_pairings((a - s) // 2)
+          + _ln_pairings((b - s) // 2) - _ln_pairings(n))
+    return ln / math.log(2)
+
+
 def _params(n, g, d):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -461,8 +488,9 @@ class TestBalanced:
 
 class TestGammaTwoReference:
     """The gamma = 2 table against the closed pairing count of
-    ``gamma2_cells``, at sizes where cells run to hundreds of digits.  The
-    largest m checked is 100."""
+    ``gamma2_cells``, at sizes where cells run to hundreds of digits, and
+    single log2 cells against its lgamma form.  The largest m checked is
+    100 for whole tables and 5120 for log2 cells."""
 
     @pytest.mark.parametrize("n, delta", [
         (6, 3), (30, 5), (99, 6), (150, 4), (200, 4)])
@@ -485,6 +513,25 @@ class TestGammaTwoReference:
         assert balanced == [sum((ref[s, m1] for m1 in range(lo, hi + 1)),
                                 start=Fraction(0))
                             for s in range(n + 1)]
+
+    @pytest.mark.parametrize("n, delta", [
+        (960, 3), (960, 4), (1920, 4), (7680, 3), (7680, 4)])
+    def test_log2_cells_match_lgamma_pairing_count(self, n, delta):
+        # Seeded cells with s <= n/8 and m/4 <= m1 <= 3m/4, where an exact
+        # cell at n = 7680 takes well under 0.1 s.  a - s and b - s share
+        # a parity, so s + 1 has none of the pairings that s has.
+        params = validate(n, 2, delta)
+        rng = random.Random(n * delta)
+        for _ in range(4):
+            m1 = rng.randint(params.m // 4, 3 * params.m // 4)
+            s = rng.randrange(0, n // 8, 2) + delta * m1 % 2
+            ref = gamma2_log2_cell(n, delta, s, m1)
+            assert math.isfinite(ref)
+            got = log2_expected_bipartitions(params, s, m1)
+            assert abs(got - ref) <= 1e-9, (s, m1)
+            assert gamma2_log2_cell(n, delta, s + 1, m1) == float("-inf")
+            assert log2_expected_bipartitions(params, s + 1, m1) \
+                == float("-inf")
 
 
 class TestLog2:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercut import ensemble, oracle
+from hypercut import core, ensemble, oracle
 from hypercut.cli import main
 from hypercut.core import CapExceeded, Hypergraph, Partition, cutsize
 from hypercut.ensemble import enumerate_all, sample, sample_with_rng, validate
@@ -54,9 +54,10 @@ class TestCountBipartitions:
             assert sum(c for (s, mm), c in counts.items()
                        if mm == m1) == math.comb(4, m1)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 16)
         with pytest.raises(CapExceeded):
-            count_bipartitions(Hypergraph(5, ((0,),)), cap=16)
+            count_bipartitions(Hypergraph(5, ((0,),)))
 
     @given(st.integers(1, 8).flatmap(lambda m: st.lists(
         st.lists(st.integers(0, m - 1), min_size=1, max_size=4),
@@ -101,27 +102,32 @@ class TestExactEnsembleAverage:
         p = validate(n, g, d)
         assert exact_ensemble_average(p).cells == cutsize_table(p).cells
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             p = validate(6, 2, 4)  # 15 classes of 2^3 assignments
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 64)
         with pytest.raises(CapExceeded):
-            exact_ensemble_average(p, cap=64)
+            exact_ensemble_average(p)
 
     def test_cap_counts_assignments_of_visited_classes(self, monkeypatch):
         p = validate(6, 2, 4)
         calls = _count_calls(monkeypatch)
-        exact_ensemble_average(p, cap=15 * 8)
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 15 * 8)
+        exact_ensemble_average(p)
         assert len(calls) == 15
         calls.clear()
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 15 * 8 - 1)
         with pytest.raises(CapExceeded, match="120 assignments visited"):
-            exact_ensemble_average(p, cap=15 * 8 - 1)
+            exact_ensemble_average(p)
         assert len(calls) == 14
 
     def test_cap_below_one_class_fails_before_walking(self, monkeypatch):
         calls = _count_calls(monkeypatch)
-        with pytest.raises(CapExceeded, match="2\\^3 assignments per class"):
-            exact_ensemble_average(validate(6, 2, 4), cap=7)
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 7)
+        with pytest.raises(CapExceeded, match=(
+                r"^8 assignments visited \(2\^3 per class\) against cap 7$")):
+            exact_ensemble_average(validate(6, 2, 4))
         assert calls == []
 
     def test_average_is_rational_mean_of_instances(self):
@@ -157,8 +163,9 @@ class TestMonteCarlo:
             raise AssertionError("a socket list was shuffled")
 
         monkeypatch.setattr(ensemble, "_shuffles", draw)
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
-            monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
+            monte_carlo_average(validate(4, 2, 4), 5, seed=0)
 
     def test_cap_checked_before_any_draw(self, monkeypatch):
         def draw(*args):
@@ -166,8 +173,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(oracle.random, "Random", draw)
         monkeypatch.setattr(oracle, "_sampled_classes", draw)
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", 3)
         with pytest.raises(CapExceeded, match="2\\^2 assignments exceed cap 3"):
-            monte_carlo_average(validate(4, 2, 4), 5, seed=0, cap=3)
+            monte_carlo_average(validate(4, 2, 4), 5, seed=0)
 
     def test_deterministic(self):
         p = validate(4, 2, 4)

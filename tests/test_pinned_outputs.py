@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from hypercut import core
 from hypercut.cli import main
 
 CASES = {
@@ -80,17 +81,32 @@ CASES = {
         {"stdout":
          "3724f4f2c40e7aeea8ea515de12fe0098c8db1e7332d98a618b737054eea8eb7"}),
     "check-capped": (
-        ["check", "--alist", "s.alist", "--partition", "p.txt",
-         "--cap", "16"],
+        ["check", "--alist", "s.alist", "--partition", "p.txt"],
         {"stdout":
          "c6d2dbd3bbce1a4eb403f937d8f6f51d1331b8a851c3353339ee427b270de8b1"}),
+    # m = 16: K = 2 is searched, K = 3 has no 0-balanced partition and
+    # K = 4 stops at the default cap, 4^16 > 2^24.
+    "check-default-cap": (
+        ["check", "--alist", "s.alist", "--partition", "p.txt"],
+        {"stdout":
+         "692e124d2608f8ec1635681437f5c4d4e5ac2153cc75cb30b2040fddd689fbb3"}),
 }
 
-#: What ``check`` reads, written into its case's directory first: the
-#: instance of "sample-file" and a partition of its 4 vertices into 2 parts.
-CHECK_INPUTS = (["sample", "-n", "8", "-g", "2", "-d", "4", "--seed", "11",
-                 "-o", "s.alist"],
-                {"p.txt": "1\n1\n2\n2\n"})
+#: What each ``check`` case reads, written into its directory first: a
+#: sampled instance and a partition of its vertices into 2 equal parts.
+#: "check" and "check-capped" read the instance of "sample-file".
+_SMALL = (["sample", "-n", "8", "-g", "2", "-d", "4", "--seed", "11",
+           "-o", "s.alist"], {"p.txt": "1\n1\n2\n2\n"})
+CHECK_INPUTS = {
+    "check": _SMALL,
+    "check-capped": _SMALL,
+    "check-default-cap": (
+        ["sample", "-n", "32", "-g", "2", "-d", "4", "--seed", "0",
+         "-o", "s.alist"], {"p.txt": "1\n" * 8 + "2\n" * 8}),
+}
+
+#: The enumeration bound each case runs under, where it is not the default.
+LOWERED_CAP = {"check-capped": 16}
 
 
 def _sha256(data: bytes) -> str:
@@ -102,8 +118,10 @@ def test_outputs_are_pinned(case, tmp_path, monkeypatch, capsys):
     argv, digests = CASES[case]
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HYPERCUT_OUTDIR", raising=False)
+    if case in LOWERED_CAP:
+        monkeypatch.setattr(core, "DEFAULT_ENUM_CAP", LOWERED_CAP[case])
     if argv[0] == "check":
-        sample_argv, files = CHECK_INPUTS
+        sample_argv, files = CHECK_INPUTS[case]
         assert main(sample_argv) == 0
         for name, text in files.items():
             (tmp_path / name).write_text(text)
