@@ -7,8 +7,8 @@ from .asymptotics import (GrowthPoint, VerdictRow, balanced_growth_rate,
                           growth_rate, inner_infimum, peak_growth, peak_sigma,
                           typical_min_cutsize, verdict, write_curve_csv,
                           write_verdict_csv)
-from .core import (DEFAULT_ENUM_CAP, BinaryMatrix, CapExceeded,
-                   EncodabilityVerdict, Hypergraph, Partition, as_ratio,
+from .core import (BinaryMatrix, CapExceeded, EncodabilityVerdict,
+                   Hypergraph, Partition, as_ratio,
                    check_block_diagonalizable, cutsize, gf2_rank,
                    hypergraph_from_matrix, is_balanced,
                    matrix_from_hypergraph, max_parallel_degree,
@@ -30,7 +30,7 @@ from .oracle import (MonteCarloEstimate, count_bipartitions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryMatrix", "CapExceeded", "CutsizeTable", "DEFAULT_ENUM_CAP",
+    "BinaryMatrix", "CapExceeded", "CutsizeTable",
     "EncodabilityVerdict", "EnsembleParams", "GrowthPoint", "Hypergraph",
     "MonteCarloEstimate", "Partition", "RNG_ALGORITHM",
     "VerdictRow", "as_ratio", "balanced_first_part_range",

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,88 @@ def _stationarity_residual(u, sigma, mu1, gamma):
     lhs = sigma * u * dp * q + (1 - sigma) * u * p * dq
     rhs = mu1 * gamma * p * q
     return abs(lhs - rhs) / rhs
+
+
+def _bisection_inner_infimum(sigma, mu1, gamma):
+    """Reference: the inner solver before the fences, evaluating phi' at
+    every bisection midpoint.  Same preconditions, path and messages."""
+    tol, ln2 = asymptotics._SLOPE_TOL, math.log(2.0)
+
+    def dphi(t):
+        return (sigma * asymptotics._ratio_p(t, gamma)
+                + (1.0 - sigma) * asymptotics._ratio_q(t, gamma)
+                - mu1 * gamma) / ln2
+
+    def phi(t):
+        return (sigma * asymptotics._log2_p(t, gamma)
+                + (1.0 - sigma) * asymptotics._log2_q(t, gamma)
+                - mu1 * gamma * t / ln2)
+
+    d0 = dphi(0.0)
+    if abs(d0) < tol:
+        return 1.0, phi(0.0)
+    step = -1.0 if d0 > 0.0 else 1.0
+    far = step
+    while (d := dphi(far)) * step <= 0.0:
+        if abs(d) < tol:
+            return math.exp(far), phi(far)
+        step *= 2.0
+        far += step
+        if abs(far) > 2.0 ** 40:
+            raise RuntimeError(f"bracketing ran away: t={far}, dphi={d}")
+    lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        dm = dphi(mid)
+        if abs(dm) < tol:
+            return math.exp(mid), phi(mid)
+        if dm > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    if abs(dphi(mid)) >= tol:
+        raise RuntimeError(f"stationarity refinement stalled: bracket "
+                           f"[{lo}, {hi}], slope {dphi(mid)}")
+    return math.exp(mid), phi(mid)
+
+
+def _inner_inputs(count=2000, seed=26):
+    """Seeded (sigma, mu1, gamma) with 2 <= gamma <= 12, mu1 from 1e-12 to
+    1 - 1e-12 and sigma up to one ulp below gamma*min(mu1, 1-mu1): the
+    corners of that range, then draws with one mu1 in ten log-uniform
+    within 1/2 of 0 or 1, one sigma in ten one ulp below its top and one
+    in ten log-uniform below it."""
+    rng = random.Random(seed)
+    edges = (1e-12, 1e-6, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0 - 1e-12)
+    inputs = []
+    for gamma in (2, 3, 7, 12):
+        for mu1 in edges:
+            top = min(gamma * min(mu1, 1.0 - mu1), 1.0)
+            for sigma in (top * 1e-12, top / 2, math.nextafter(top, 0.0)):
+                inputs.append((sigma, mu1, gamma))
+    while len(inputs) < count:
+        gamma = rng.randint(2, 12)
+        draw = rng.random()
+        if draw < 0.05:
+            mu1 = 10.0 ** rng.uniform(-12, math.log10(0.5))
+        elif draw < 0.1:
+            mu1 = 1.0 - 10.0 ** rng.uniform(-12, math.log10(0.5))
+        else:
+            mu1 = rng.uniform(1e-12, 1.0 - 1e-12)
+        top = min(gamma * min(mu1, 1.0 - mu1), 1.0)
+        draw = rng.random()
+        if draw < 0.1:
+            sigma = math.nextafter(top, 0.0)
+        elif draw < 0.2:
+            sigma = top * 10.0 ** rng.uniform(-12, 0)
+        else:
+            sigma = top * rng.random()
+        if 0.0 < sigma < top:
+            inputs.append((sigma, mu1, gamma))
+    return inputs
 
 
 class TestInnerInfimum:
@@ -112,6 +195,39 @@ class TestInnerInfimum:
                     sigma = top * frac
                     u, _ = inner_infimum(sigma, mu1, gamma)
                     assert _stationarity_residual(u, sigma, mu1, gamma) < 1e-9
+
+
+class TestFencedBisection:
+    """The fences skip bisection midpoints whose outcome is known, so every
+    result is bit for bit the plain bisection's."""
+
+    def test_equals_plain_bisection(self, monkeypatch):
+        calls = {"fenced": 0, "plain": 0}
+        real = asymptotics._ratio_p
+        side = "fenced"
+
+        def counted(t, gamma):
+            calls[side] += 1
+            return real(t, gamma)
+
+        monkeypatch.setattr(asymptotics, "_ratio_p", counted)
+        inputs = _inner_inputs()
+        assert len(inputs) >= 2000
+        for args in inputs:
+            side = "fenced"
+            got = inner_infimum(*args)
+            side = "plain"
+            assert got == _bisection_inner_infimum(*args), args
+        assert calls["fenced"] < calls["plain"] / 2
+
+    def test_curve_and_root_unchanged(self, monkeypatch):
+        grid = [i / 100 for i in range(101)]
+        fenced = (curve((2, 5), 0.05, grid),
+                  typical_min_cutsize("1/10", (2, 4)))
+        monkeypatch.setattr(asymptotics, "inner_infimum",
+                            _bisection_inner_infimum)
+        assert fenced == (curve((2, 5), 0.05, grid),
+                          typical_min_cutsize("1/10", (2, 4)))
 
 
 class TestGrowthRate:

@@ -459,6 +459,13 @@ class TestMinCutsizeBruteforce:
         with pytest.raises(CapExceeded):
             min_cutsize_bruteforce(h, 2, 0)
 
+    def test_cap_is_not_re_exported(self):
+        # a package-level copy would be made at import, so rebinding it
+        # would change no bound; core is the one place the cap lives
+        import hypercut
+        assert not hasattr(hypercut, "DEFAULT_ENUM_CAP")
+        assert "DEFAULT_ENUM_CAP" not in hypercut.__all__
+
     def test_feasibility_checked_before_cap(self, monkeypatch):
         # 3 parts of at most floor(4/3) = 1 vertex cannot hold 4, so no
         # budget stop is reported for a K the search would never run

@@ -55,6 +55,15 @@ CASES = {
          "5d1767db13985edeb1f9011dee1f18d7f923f3d9447e4787ff881afede3f5a72",
          "curve.csv":
          "b44ce0993d48ad4034b91da1cee7c1ab6c495c5f9cc4221e7f37c4de97b0502d"}),
+    # eps > 0 reaches the inner solver's bisection; the eps = 0 pins above
+    # stop at u = 1.  Recorded before the bisection skipped fenced midpoints.
+    "growth-eps-file": (
+        ["growth", "-g", "2", "-d", "5", "-e", "0.05", "--step", "0.01",
+         "-o", "curve.csv"],
+        {"stdout":
+         "2a0bbd05f89693f8d15802535ef635ff827fefac81e7e0f8870f9910178b0f02",
+         "curve.csv":
+         "210849fd9af65e33d59ffbd21359c9487d6a07bb11463acd7084ceed183eb684"}),
     "growth-stdout": (
         ["growth", "-g", "2", "-d", "5", "--step", "0.1"],
         {"stdout":
