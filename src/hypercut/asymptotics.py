@@ -23,11 +23,11 @@ a sigma grid for its first positive point.
 
 All logarithms are base 2.  The inner infimum is smooth and convex in
 t = ln u, so it is located by geometric bracketing plus bisection on the
-derivative.  A few Illinois (modified regula falsi) probes first fence off
-the t where the slope's sign is certain, and the bisection does not
-evaluate a midpoint past a fence; since the slope is nondecreasing and the
-fence margin is far above its rounding error, the bisection takes the same
-steps and returns the same bits as one that evaluates every midpoint.
+derivative.  A few Anderson-Bjorck (modified regula falsi) probes first
+fence off the t where the slope's sign is certain, and the bisection does
+not evaluate a midpoint past a fence; since the slope is nondecreasing and
+the fence margin is far above its rounding error, the bisection takes the
+same steps and returns the same bits as one that evaluates every midpoint.
 Its minimizer u* gives dg/dmu1 by the envelope theorem,
 
     dg/dmu1 = gamma*(delta-1)/delta * log2(mu1/(1-mu1)) - gamma*log2 u*,
@@ -59,7 +59,8 @@ _MU1_TOL = 1e-8
 _SLOPE_TOL = 1e-12
 #: How far past ``_SLOPE_TOL`` a probed slope must lie to fence off a side.
 _FENCE_MARGIN = 8 * _SLOPE_TOL
-#: Most Illinois probes placing the fences before the bisection starts.
+#: Most Anderson-Bjorck probes placing the fences before the bisection
+#: starts.
 _PROBES = 12
 #: Spacing of the sigma grid scanned for the first positive balanced rate.
 _SIGMA_STEP = 1e-3
@@ -174,18 +175,19 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
     t = 0 downhill and polished by bisection on the derivative until
     |phi'| < ``_SLOPE_TOL`` bits.  Returns (u_star, value in bits).
 
-    Before the bisection, up to ``_PROBES`` Illinois probes inside the last
-    bracketing pair, plus one on each side of the first probe within the
-    fence level tol + ``_FENCE_MARGIN``, record two fences: ``neg``, the
-    largest probed t with phi' <= -(tol + margin), and ``pos``, the smallest
-    with phi' >= tol + margin.  A midpoint at or below ``neg`` moves ``lo``
-    and one at or above ``pos`` moves ``hi`` without evaluating phi'.  The
-    true phi' is nondecreasing in t, and the margin is over 10^3 times
-    the rounding error of the evaluated phi' (about 1e-15, under 1e-14 up
-    to gamma = 12), so an evaluation there would have given |phi'| >= tol
-    with the sign implied: the path, the result and every error message
-    are those of plain bisection, at about a third of its slope
-    evaluations.
+    Before the bisection, up to ``_PROBES`` Anderson-Bjorck probes inside
+    the last bracketing pair, plus one on each side of the first probe
+    within the fence level tol + ``_FENCE_MARGIN``, record two fences:
+    ``neg``, the largest probed t with phi' <= -(tol + margin), and ``pos``,
+    the smallest with phi' >= tol + margin.  A midpoint at or below ``neg``
+    moves ``lo`` and one at or above ``pos`` moves ``hi`` without evaluating
+    phi'.  The true phi' is nondecreasing in t, and the margin is over 10^3
+    times the rounding error of the evaluated phi' (about 1e-15, under
+    1e-14 up to gamma = 12), so an evaluation there would have given
+    |phi'| >= tol with the sign implied: the path, the result and every
+    error message are those of plain bisection, at about a third of its
+    slope evaluations.  The probes are regula falsi steps with the
+    Anderson-Bjorck weight (BIT 13, 1973) on the end that stays put.
     """
     if gamma < 2:
         raise ValueError("inner infimum needs gamma >= 2")
@@ -218,12 +220,12 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
             raise RuntimeError(f"bracketing ran away: t={far}, dphi={d}")
     lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
 
-    # Illinois probes inside the last bracketing pair move its ends a < b
-    # in on the root.  An end where |dphi| >= tol + margin is a fence:
+    # Anderson-Bjorck probes inside the last bracketing pair move its ends
+    # a < b in on the root.  An end where |dphi| >= tol + margin is a fence:
     # by monotonicity, every midpoint on its far side has a known outcome.
     fence = _SLOPE_TOL + _FENCE_MARGIN
     (a, fa), (b, fb) = sorted([(near, d_near), (far, d)])
-    ga, gb, side = fa, fb, 0  # Illinois-weighted fa, fb; last side moved
+    ga, gb, side = fa, fb, 0  # weighted fa, fb; last side moved
     for _ in range(_PROBES):
         x = b - gb * (b - a) / (gb - ga)
         if not a < x < b:
@@ -238,16 +240,18 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
                     elif dt >= fence:
                         b, fb = t, dt
             break
+        # An end that moves twice in a row scales the other end's weight by
+        # 1 - f(new)/f(replaced), or by 1/2 where that is not positive.
         if fx < 0.0:
-            a, fa, ga = x, fx, fx
             if side < 0:
-                gb *= 0.5
-            side = -1
+                w = 1.0 - fx / fa
+                gb *= w if w > 0.0 else 0.5
+            a, fa, ga, side = x, fx, fx, -1
         else:
-            b, fb, gb = x, fx, fx
             if side > 0:
-                ga *= 0.5
-            side = 1
+                w = 1.0 - fx / fb
+                ga *= w if w > 0.0 else 0.5
+            b, fb, gb, side = x, fx, fx, 1
     neg = a if fa <= -fence else -math.inf
     pos = b if fb >= fence else math.inf
 

@@ -14,13 +14,14 @@ A full table walks G_s = p^s * q^(n-s) itself, row to row.  G_0 = q^n
 has C(n, r) at u^(gamma*r); dividing by q = 1 + u^gamma is exact while
 s < n, and multiplying by p gives G_(s+1) = (G_s / q) * p.  Each step costs
 O(gamma^2 * n) additions of big integers and small multiples of them, and no
-product of two big integers.  A single cell instead walks p, p^2, ..., p^s
-in one loop (``_cell_factors``) and expands q^t by the binomial theorem,
+product of two big integers.  A single cell instead builds p^s
+coefficient by coefficient from the power recurrence of p/u
+(``_cell_factors``) and expands q^t by the binomial theorem,
 coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k - gamma*r)), so it does
-not pay for G_0 ... G_s, and it builds only the C(t, r) that its u^k read;
-the two paths check each other in the tests.  They share one multiply-by-p
-step.  A single cell has its own budget, checked before either of its walks
-starts.  Coefficients are arbitrary-precision integers.
+not pay for G_0 ... G_s, and it builds only the C(t, r) that the nonzero
+coefficients of p^s meet at its u^k; the two paths share no step and check
+each other in the tests.  A single cell has its own budget, checked before
+any of its work starts.  Coefficients are arbitrary-precision integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
@@ -56,16 +57,22 @@ _MAX_TABLE_XI = 4000
 #: times the m + xi bits that bound each one.  (1000, 4, 4), at 5.0e9,
 #: peaks at 399 MiB and passes; (1000, 4, 2), at 1.2e10, does not.
 _MAX_TABLE_BITS = 6 * 10**9
-#: Largest (gamma-1)^2 * gamma * s^3 / 2 of a single cell: the walk to p^s
-#: makes about (gamma-1)^2 * s^2 / 2 multiply-adds of numbers below
-#: 2^(gamma*s).  It admits the (3, 6) cell at n = 20000, s = n/5 (3.8e11,
-#: 7.2 s); at the bound the walk took 1.2-1.3 s for gamma = 2 (s = 7368)
-#: and 14-20 s for gamma = 4 (s = 2811), Python 3.11 on a 2-core VM, so
-#: the cost per unit still grows about elevenfold from gamma = 2 to 4.
-_MAX_CELL_WORK = 4 * 10**11
-#: Largest n - s of a single cell: it reads binomials C(n - s, r) of up to
-#: n - s bits, and a balanced sum over every m1 reads the whole row, about
-#: 0.72 * (n-s)^2 bits.  At the bound that row took 0.8 s and 246 MiB.
+#: Largest work of a single cell or balanced sum, in bit operations (one
+#: bit times one bit of a schoolbook product, about 1e-12 s):
+#: * the recurrence for p^s: (gamma-2)*s steps on numbers below
+#:   2^(gamma*s), each an exact division by a one-digit integer plus
+#:   gamma - 2 small multiples, at 64*(gamma+5) per bit;
+#: * per cell, (gamma-2)*s//gamma + 1 products of a C(n - s, r) by a
+#:   coefficient of p^s, (n - s)*gamma*s each;
+#: * per cell, binomials of up to gamma*n bits, 32*(gamma*n)^2.
+#: The (3, 6) cell at n = 20000, s = n/5 (4.0e11) takes about 0.26 s.  At
+#: the bound the slowest single cells took 1.1-1.6 s and the slowest
+#: balanced sums 1.5-2.0 s for each of gamma = 2, ..., 6, and no call
+#: peaked above 29 MiB (Python 3.11 on a shared 2-core VM).
+_MAX_CELL_WORK = 2 * 10**12
+#: Largest n - s of a single cell: it builds the binomials C(n - s, r), of
+#: up to n - s bits, that its cells read, one step of the row per r.  The
+#: whole row at the bound took 0.8 s and 246 MiB.
 _MAX_CELL_ROW = 50_000
 
 
@@ -87,37 +94,75 @@ def _times_p(poly: list[int], gamma: int) -> list[int]:
     return out
 
 
-def _check_cell_budget(gamma: int, s: int, n: int) -> None:
-    work = (gamma - 1) ** 2 * gamma * s ** 3 // 2
+def _check_cell_budget(gamma: int, s: int, n: int, cells: int = 1) -> None:
+    terms = max(0, gamma - 2) * s // gamma + 1  # r-sum products per cell
+    work = (64 * (gamma + 5) * gamma * max(0, gamma - 2) * s * s
+            + cells * (terms * (n - s) * gamma * s + 32 * (gamma * n) ** 2))
     if work > _MAX_CELL_WORK:
-        raise CapExceeded(f"(gamma-1)^2*gamma*s^3/2 = {work} bit operations "
-                          f"of the p^s walk exceed the single-cell budget "
-                          f"{_MAX_CELL_WORK}")
+        raise CapExceeded(f"{work} bit operations for p^s and the r-sums "
+                          f"and binomials of {cells} cell(s) exceed the "
+                          f"single-cell budget {_MAX_CELL_WORK}")
     if n - s > _MAX_CELL_ROW:
         raise CapExceeded(f"n - s = {n - s} exceeds the single-cell budget "
                           f"{_MAX_CELL_ROW} of the C(n - s, .) row")
 
 
+def _power_coeffs(gamma: int, s: int) -> Iterator[int]:
+    """The coefficients a_0, ..., a_((gamma-2)*s) of f^s, where f = p/u.
+
+    f_i = C(gamma, i + 1) and f_0 = gamma, so p^s is s zeros followed by
+    these (for gamma = 1, p = 0 and there are none once s > 0).
+    f*(f^s)' = s*f'*f^s gives them one at a time (J.C.P. Miller's
+    recurrence for the power of a power series; Knuth, TAOCP 2, 4.7):
+    a_0 = gamma^s and
+
+        k*gamma*a_k = sum_(i=1..min(k, gamma-2)) ((s+1)*i - k) * f_i * a_(k-i),
+
+    an exact division.  Each coefficient costs gamma - 2 small multiples of
+    the ones before it, which are all that is held.
+    """
+    f = [math.comb(gamma, i + 1) for i in range(gamma - 1)]
+    last = []  # a_(k-1), a_(k-2), ..., at most gamma - 2 of them
+    for k in range((gamma - 2) * s + 1):
+        a = (sum(((s + 1) * i - k) * f[i] * b
+                 for i, b in enumerate(last, 1)) // (k * gamma)
+             if k else gamma ** s)
+        yield a
+        last = [a, *last][:gamma - 2]
+
+
 def _cell_factors(gamma: int, s: int, n: int,
                   ks: Sequence[int]) -> tuple[list[int], int, list[int]]:
-    """(p^s, r0, row): p(u)^s, and row[i] = C(n - s, r0 + i) for the r that
-    the coefficients of u^k in p^s q^(n-s), k in ``ks``, read.
+    """(power, r0, row) for the coefficients of u^k in p^s q^(n-s), k in
+    ``ks``: row[i] = C(n - s, r0 + i) for the r that they read, and entry i
+    of ``power`` is the coefficient of u^i in p(u)^s where they read it and
+    0 elsewhere.
 
-    Entry i of p^s is the coefficient of u^i and its last entry is nonzero;
-    for gamma = 1, p^0 = [1] and every later power is empty.  u^k reads the
-    r with k - deg p^s <= gamma*r <= k.  A walk over its budget raises
-    CapExceeded before any work.
+    p^s is nonzero from u^s to u^((gamma-1)*s), where ``power`` ends, so
+    u^k reads only the r with s <= k - gamma*r <= (gamma-1)*s, and only
+    the coefficients of u^(k - gamma*r) for those r; ``_power_coeffs`` makes
+    every coefficient, and only those read are kept.  For gamma = 1,
+    p^0 = [1] and every later power is empty.  A cell over its budget
+    raises CapExceeded before any work.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    _check_cell_budget(gamma, s, n)
-    power = [1]
-    for _ in range(s):
-        power = _times_p(power, gamma)
-    t, r0 = n - s, max(0, -(-(min(ks) - len(power) + 1) // gamma))
-    row = [math.comb(t, r0)]
-    for r in range(r0, min(t, max(ks) // gamma)):
+    _check_cell_budget(gamma, s, n, len(ks))
+    if gamma == 1 and s:
+        return [], 0, []  # p = 0
+    t = n - s
+    r0 = max(0, -(-(min(ks) - (gamma - 1) * s) // gamma))
+    r1 = min(t, (max(ks) - s) // gamma)
+    row = [math.comb(t, r0)] if r0 <= r1 else []
+    for r in range(r0, r1):
         row.append(row[-1] * (t - r) // (r + 1))
+    # u^k reads a_j at j = k - s - gamma*r, r0 <= r <= r1.
+    lo, hi = min(ks) - s - gamma * r1, max(ks) - s - gamma * r0
+    classes = {(k - s) % gamma for k in ks}
+    power = [0] * ((gamma - 1) * s + 1)
+    for j, a in enumerate(_power_coeffs(gamma, s)):
+        if lo <= j <= hi and j % gamma in classes:
+            power[s + j] = a
     return power, r0, row
 
 
@@ -192,7 +237,7 @@ def _cells(params: EnsembleParams, s: int,
     The numerator is C(m, m1) * C(n, s) * coef(p^s q^(n-s), u^(delta*m1)),
     and zero off the support s <= delta*min(m1, m - m1).  Off-grid indices
     raise ValueError.  Unless some cell lies on the support, p^s is not
-    walked.
+    built.
     """
     n, m, g, d = params.n, params.m, params.gamma, params.delta
     if not 0 <= s <= n:
@@ -238,7 +283,7 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
                                    epsilon) -> Fraction:
     """Sum of ``expected_bipartitions`` over the eps-balanced |U1| range.
 
-    Walks p^s and builds the C(n-s, .) row once for the whole range.
+    Builds p^s and the C(n-s, .) row once for the whole range.
     """
     lo, hi = balanced_first_part_range(params.m, epsilon)
     nums, dens = _cells(params, s, range(lo, hi + 1))

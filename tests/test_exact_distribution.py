@@ -71,6 +71,39 @@ def naive_coef(gamma, s, n, k):
     return prod[k] if 0 <= k < len(prod) else 0
 
 
+def ladder_times_p(poly, gamma):
+    """poly(u) * p(u), one shifted multiple of poly per term of p, as the
+    table walk multiplies (empty for gamma = 1, where p = 0)."""
+    if gamma < 2:
+        return []
+    out = [0] * (len(poly) + gamma - 1)
+    for j in range(1, gamma):
+        c = math.comb(gamma, j)
+        for i, a in enumerate(poly):
+            out[i + j] += c * a
+    return out
+
+
+def ladder_power(gamma, s):
+    """p(u)^s by s multiplies by p."""
+    power = [1]
+    for _ in range(s):
+        power = ladder_times_p(power, gamma)
+    return power
+
+
+def ladder_cell_factors(gamma, s, n, ks):
+    """``_cell_factors`` by the ladder of multiplies: p^s from
+    ``ladder_power`` and C(n - s, r) for every r with
+    k - deg p^s <= gamma*r <= k, k in ``ks``."""
+    power = ladder_power(gamma, s)
+    t, r0 = n - s, max(0, -(-(min(ks) - len(power) + 1) // gamma))
+    row = [math.comb(t, r0)]
+    for r in range(r0, min(t, max(ks) // gamma)):
+        row.append(row[-1] * (t - r) // (r + 1))
+    return power, r0, row
+
+
 def double_factorial(k):
     """k!! for k >= -1, with (-1)!! = 0!! = 1."""
     return math.prod(range(k, 0, -2))
@@ -158,10 +191,10 @@ class TestConstellationCoeff:
         with pytest.raises(ValueError, match="gamma must be at least 1"):
             constellation_coeff(0, 0, 1, 0)
 
-    @given(st.integers(1, 4), st.data())
+    @given(st.integers(1, 6), st.data())
     @settings(max_examples=60)
     def test_matches_naive_expansion(self, gamma, data):
-        n = data.draw(st.integers(0, 5))
+        n = data.draw(st.integers(0, 8))
         s = data.draw(st.integers(0, n))
         k = data.draw(st.integers(0, gamma * n + 1))
         assert constellation_coeff(gamma, s, n, k) == naive_coef(gamma, s, n, k)
@@ -196,6 +229,85 @@ class TestWalk:
                 want = naive_mul(poly, p)
                 assert got == want + [0] * (len(got) - len(want)), (
                     gamma, poly)
+
+
+class TestPowerRecurrence:
+    """p^s of a single cell, from the power recurrence, against s multiplies
+    by p and against closed forms."""
+
+    @staticmethod
+    def power(gamma, s):
+        coeffs = list(exact_distribution._power_coeffs(gamma, s))
+        return [0] * s + coeffs if coeffs else []
+
+    def test_matches_ladder(self):
+        for gamma in range(1, 8):
+            for s in range(61):
+                assert self.power(gamma, s) == ladder_power(gamma, s), (
+                    gamma, s)
+        for gamma in range(1, 5):
+            for s in (97, 150, 400):
+                assert self.power(gamma, s) == ladder_power(gamma, s), (
+                    gamma, s)
+
+    def test_closed_forms_at_bound_sizes(self):
+        # p = 2u for gamma = 2 and p = 3u(1 + u) for gamma = 3.
+        s = 100_000
+        assert self.power(2, s) == [0] * s + [2 ** s]
+        s = 4000
+        want = [0] * s + [3 ** s]
+        for j in range(s):  # 3^s C(s, j + 1) from 3^s C(s, j)
+            want.append(want[-1] * (s - j) // (j + 1))
+        assert self.power(3, s) == want
+
+    def test_cell_holds_only_what_it_reads(self):
+        # p^s is zero below u^s and above u^((gamma-1)*s), so a gamma = 2
+        # cell reads one binomial, and any cell at most (gamma-2)*s/gamma + 1,
+        # each against one coefficient of p^s.
+        for gamma, s, n, k in [(2, 40, 100, 90), (2, 7, 9, 9),
+                               (3, 30, 90, 120), (5, 12, 60, 150),
+                               (4, 50, 60, 90), (6, 40, 45, 200),
+                               (7, 30, 200, 300)]:
+            power, r0, row = exact_distribution._cell_factors(
+                gamma, s, n, [k])
+            assert len(power) == (gamma - 1) * s + 1
+            rs = range(r0, r0 + len(row))
+            assert len(row) <= (gamma - 2) * s // gamma + 1
+            assert all(s <= k - gamma * r <= (gamma - 1) * s for r in rs)
+            full = [0] * s + list(exact_distribution._power_coeffs(gamma, s))
+            assert [i for i, a in enumerate(power) if a] == sorted(
+                k - gamma * r for r in rs)
+            assert all(power[k - gamma * r] == full[k - gamma * r]
+                       for r in rs)
+        _, _, row = exact_distribution._cell_factors(2, 40, 100, [90])
+        assert row == [math.comb(60, 25)]
+        assert exact_distribution._cell_factors(3, 10, 20, [9])[2] == []
+
+    def test_cells_match_ladder(self, monkeypatch):
+        # Seeded values of every single-cell function, equal to those built
+        # from ladder_cell_factors.
+        rng = random.Random(29)
+        calls = []
+        while len(calls) < 5000:
+            gamma = rng.randint(1, 7)
+            delta = rng.randint(1, 8)
+            n = rng.randint(1, 40)
+            if gamma * n % delta:
+                continue
+            params = _params(n, gamma, delta)
+            s = rng.randint(0, n)
+            m1 = rng.randint(0, params.m)
+            k = rng.randint(0, gamma * n + 1)
+            calls += [(constellation_coeff, (gamma, s, n, k)),
+                      (expected_bipartitions, (params, s, m1)),
+                      (log2_expected_bipartitions, (params, s, m1)),
+                      (expected_balanced_bipartitions, (params, s, 0)),
+                      (expected_balanced_bipartitions, (params, s, "1/10"))]
+        got = [f(*args) for f, args in calls]
+        monkeypatch.setattr(exact_distribution, "_cell_factors",
+                            ladder_cell_factors)
+        want = [f(*args) for f, args in calls]
+        assert got == want
 
 
 # -------------------------------------------------- distribution values
@@ -515,10 +627,10 @@ class TestGammaTwoReference:
                             for s in range(n + 1)]
 
     @pytest.mark.parametrize("n, delta", [
-        (960, 3), (960, 4), (1920, 4), (7680, 3), (7680, 4)])
+        (960, 3), (960, 4), (1920, 4), (7680, 3), (7680, 4), (20000, 4)])
     def test_log2_cells_match_lgamma_pairing_count(self, n, delta):
         # Seeded cells with s <= n/8 and m/4 <= m1 <= 3m/4, where an exact
-        # cell at n = 7680 takes well under 0.1 s.  a - s and b - s share
+        # cell at n = 20000 takes well under 0.1 s.  a - s and b - s share
         # a parity, so s + 1 has none of the pairings that s has.
         params = validate(n, 2, delta)
         rng = random.Random(n * delta)
@@ -598,8 +710,9 @@ class TestLog2:
         p = validate(10**6, 2, 4)
         start = time.monotonic()
         with pytest.raises(CapExceeded, match=(
-                r"= 1000000000000000 bit operations of the p\^s walk "
-                r"exceed the single-cell budget 400000000000")):
+                r"^128180000000000 bit operations for p\^s and the r-sums "
+                r"and binomials of 1 cell\(s\) exceed the single-cell "
+                r"budget 2000000000000$")):
             evaluate(p, 10**5)
         assert time.monotonic() - start < 1.0
 
@@ -609,6 +722,16 @@ class TestLog2:
                 r"n - s = 50001 exceeds the single-cell budget 50000 of the "
                 r"C\(n - s, \.\) row")):
             constellation_coeff(2, 1, 50_002, 2)
+        assert time.monotonic() - start < 1.0
+
+    def test_balanced_sum_charged_per_cell(self):
+        # One cell of (6000, 3, 6) at s = 1200 is inside the budget; the
+        # 301 cells of its eps = 1/10 balanced sum are not.
+        p = validate(6000, 3, 6)
+        exact_distribution._check_cell_budget(3, 1200, 6000)
+        start = time.monotonic()
+        with pytest.raises(CapExceeded, match=r"of 301 cell\(s\) exceed"):
+            expected_balanced_bipartitions(p, 1200, "1/10")
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("gamma", [2, 3])
