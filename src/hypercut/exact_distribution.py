@@ -14,14 +14,15 @@ A full table walks G_s = p^s * q^(n-s) itself, row to row.  G_0 = q^n
 has C(n, r) at u^(gamma*r); dividing by q = 1 + u^gamma is exact while
 s < n, and multiplying by p gives G_(s+1) = (G_s / q) * p.  Each step costs
 O(gamma^2 * n) additions of big integers and small multiples of them, and no
-product of two big integers.  A single cell instead builds p^s
-coefficient by coefficient from the power recurrence of p/u
-(``_cell_factors``) and expands q^t by the binomial theorem,
-coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s, u^(k - gamma*r)), so it does
-not pay for G_0 ... G_s, and it builds only the C(t, r) that the nonzero
-coefficients of p^s meet at its u^k; the two paths share no step and check
-each other in the tests.  A single cell has its own budget, checked before
-any of its work starts.  Coefficients are arbitrary-precision integers.
+product of two big integers.  A single cell instead expands q^t by the
+binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s,
+u^(k - gamma*r)), in one kernel (``_cell_coeffs``), so it does not pay for
+G_0 ... G_s.  For each k it finds once the span of r where p^s is nonzero,
+builds C(t, r) only over those spans, and keeps only the coefficients of
+p^s, made one by one from the power recurrence of p/u, that the spans read.
+The two paths share no step and check each other in the tests.  A single
+cell has its own budget, checked before any of its work starts.
+Coefficients are arbitrary-precision integers.
 
 Cell (s, m1) is the integer C(m, m1) * C(n, s) * coef over C(delta*m,
 delta*m1).  A ``CutsizeTable`` holds these numerators and checks its
@@ -58,13 +59,16 @@ _MAX_TABLE_XI = 4000
 #: peaks at 399 MiB and passes; (1000, 4, 2), at 1.2e10, does not.
 _MAX_TABLE_BITS = 6 * 10**9
 #: Largest work of a single cell or balanced sum, in bit operations (one
-#: bit times one bit of a schoolbook product, about 1e-12 s):
-#: * the recurrence for p^s: (gamma-2)*s steps on numbers below
+#: bit times one bit of a schoolbook product, about 1e-12 s).  Every entry
+#: point is charged, before it starts:
+#: * once, the recurrence for p^s: (gamma-2)*s steps on numbers below
 #:   2^(gamma*s), each an exact division by a one-digit integer plus
 #:   gamma - 2 small multiples, at 64*(gamma+5) per bit;
-#: * per cell, (gamma-2)*s//gamma + 1 products of a C(n - s, r) by a
-#:   coefficient of p^s, (n - s)*gamma*s each;
-#: * per cell, binomials of up to gamma*n bits, 32*(gamma*n)^2.
+#: * per coefficient asked, (gamma-2)*s//gamma + 1 products of a
+#:   C(n - s, r) by a coefficient of p^s, (n - s)*gamma*s each;
+#: * per table cell on the support, which builds C(m, m1), C(n, s) and
+#:   C(delta*m, delta*m1) if its coefficient is nonzero, 32*(gamma*n)^2.
+#:   ``constellation_coeff`` builds no such binomial and pays none.
 #: The (3, 6) cell at n = 20000, s = n/5 (4.0e11) takes about 0.26 s.  At
 #: the bound the slowest single cells took 1.1-1.6 s and the slowest
 #: balanced sums 1.5-2.0 s for each of gamma = 2, ..., 6, and no call
@@ -94,13 +98,15 @@ def _times_p(poly: list[int], gamma: int) -> list[int]:
     return out
 
 
-def _check_cell_budget(gamma: int, s: int, n: int, cells: int = 1) -> None:
-    terms = max(0, gamma - 2) * s // gamma + 1  # r-sum products per cell
+def _check_cell_budget(gamma: int, s: int, n: int, coeffs: int,
+                       cells: int) -> None:
+    terms = max(0, gamma - 2) * s // gamma + 1  # r-sum products per coeff
     work = (64 * (gamma + 5) * gamma * max(0, gamma - 2) * s * s
-            + cells * (terms * (n - s) * gamma * s + 32 * (gamma * n) ** 2))
+            + coeffs * terms * (n - s) * gamma * s
+            + cells * 32 * (gamma * n) ** 2)
     if work > _MAX_CELL_WORK:
         raise CapExceeded(f"{work} bit operations for p^s and the r-sums "
-                          f"and binomials of {cells} cell(s) exceed the "
+                          f"and binomials of {coeffs} cell(s) exceed the "
                           f"single-cell budget {_MAX_CELL_WORK}")
     if n - s > _MAX_CELL_ROW:
         raise CapExceeded(f"n - s = {n - s} exceeds the single-cell budget "
@@ -131,39 +137,35 @@ def _power_coeffs(gamma: int, s: int) -> Iterator[int]:
         last = [a, *last][:gamma - 2]
 
 
-def _cell_factors(gamma: int, s: int, n: int,
-                  ks: Sequence[int]) -> tuple[list[int], int, list[int]]:
-    """(power, r0, row) for the coefficients of u^k in p^s q^(n-s), k in
-    ``ks``: row[i] = C(n - s, r0 + i) for the r that they read, and entry i
-    of ``power`` is the coefficient of u^i in p(u)^s where they read it and
-    0 elsewhere.
+def _cell_coeffs(gamma: int, s: int, n: int, ks: Sequence[int],
+                 cells: int = 0) -> list[int]:
+    """coef(p^s q^t, u^k) for each k in ``ks``, t = n - s.
 
-    p^s is nonzero from u^s to u^((gamma-1)*s), where ``power`` ends, so
-    u^k reads only the r with s <= k - gamma*r <= (gamma-1)*s, and only
-    the coefficients of u^(k - gamma*r) for those r; ``_power_coeffs`` makes
-    every coefficient, and only those read are kept.  For gamma = 1,
-    p^0 = [1] and every later power is empty.  A cell over its budget
-    raises CapExceeded before any work.
+    q^t = sum_r C(t, r) u^(gamma*r), and p^s = u^s f^s is nonzero from u^s
+    to u^((gamma-1)*s), so u^k reads only the r of its span
+    s <= k - gamma*r <= (gamma-1)*s, 0 <= r <= t, each against a_j of
+    ``_power_coeffs`` at j = k - s - gamma*r.  Only the C(t, r) of the
+    spans and the a_j that some k reads are built or kept.  ``cells`` is
+    the number of table cells whose binomials the caller builds after;
+    ``_check_cell_budget`` charges them with this work before any of it.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
-    _check_cell_budget(gamma, s, n, len(ks))
-    if gamma == 1 and s:
-        return [], 0, []  # p = 0
+    if not ks:
+        return []
+    _check_cell_budget(gamma, s, n, len(ks), cells)
     t = n - s
-    r0 = max(0, -(-(min(ks) - (gamma - 1) * s) // gamma))
-    r1 = min(t, (max(ks) - s) // gamma)
-    row = [math.comb(t, r0)] if r0 <= r1 else []
-    for r in range(r0, r1):
-        row.append(row[-1] * (t - r) // (r + 1))
-    # u^k reads a_j at j = k - s - gamma*r, r0 <= r <= r1.
-    lo, hi = min(ks) - s - gamma * r1, max(ks) - s - gamma * r0
-    classes = {(k - s) % gamma for k in ks}
-    power = [0] * ((gamma - 1) * s + 1)
-    for j, a in enumerate(_power_coeffs(gamma, s)):
-        if lo <= j <= hi and j % gamma in classes:
-            power[s + j] = a
-    return power, r0, row
+    spans = [range(max(0, -(-(k - (gamma - 1) * s) // gamma)),
+                   min(t, (k - s) // gamma) + 1) for k in ks]
+    binom = {}
+    for r in sorted(set().union(*spans)):
+        binom[r] = (binom[r - 1] * (t - r + 1) // r if r - 1 in binom
+                    else math.comb(t, r))
+    reads = {k - s - gamma * r for k, span in zip(ks, spans) for r in span}
+    power = {j: a for j, a in zip(range(max(reads, default=-1) + 1),
+                                  _power_coeffs(gamma, s)) if j in reads}
+    return [sum(binom[r] * power[k - s - gamma * r] for r in span)
+            for k, span in zip(ks, spans)]
 
 
 def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
@@ -192,19 +194,6 @@ def _cut_products(n: int, gamma: int) -> Iterator[list[int]]:
     yield prod
 
 
-def _coeff(power: list[int], gamma: int, r0: int, row: list[int],
-           k: int) -> int:
-    """coef(p^s * q^t, u^k) from p^s = ``power`` and row[i] = C(t, r0 + i).
-
-    q^t = sum_r C(t, r) u^(gamma*r), so only the r with 0 <= k - gamma*r
-    <= deg p^s contribute, and ``row`` must hold them.
-    """
-    r_lo = max(r0, -(-(k - len(power) + 1) // gamma))
-    r_hi = min(r0 + len(row) - 1, k // gamma)
-    return sum(row[r - r0] * power[k - gamma * r]
-               for r in range(r_lo, r_hi + 1))
-
-
 def _ratio_sum(dens: Sequence[int]) -> Callable[[Sequence[int]], Fraction]:
     """The map row -> sum(a / b) over the row, as one reduced Fraction.
 
@@ -226,8 +215,7 @@ def constellation_coeff(gamma: int, s: int, n: int, k: int) -> int:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     if k < 0:
         return 0
-    power, r0, row = _cell_factors(gamma, s, n, [k])
-    return _coeff(power, gamma, r0, row, k)
+    return _cell_coeffs(gamma, s, n, [k])[0]
 
 
 def _cells(params: EnsembleParams, s: int,
@@ -236,8 +224,9 @@ def _cells(params: EnsembleParams, s: int,
 
     The numerator is C(m, m1) * C(n, s) * coef(p^s q^(n-s), u^(delta*m1)),
     and zero off the support s <= delta*min(m1, m - m1).  Off-grid indices
-    raise ValueError.  Unless some cell lies on the support, p^s is not
-    built.
+    raise ValueError.  Only a cell whose coefficient is nonzero builds its
+    binomials; every other cell is 0/1.  Unless some cell lies on the
+    support, p^s is not built.
     """
     n, m, g, d = params.n, params.m, params.gamma, params.delta
     if not 0 <= s <= n:
@@ -245,17 +234,16 @@ def _cells(params: EnsembleParams, s: int,
     for m1 in m1s:
         if not 0 <= m1 <= m:
             raise ValueError(f"need 0 <= m1 <= m, got m1={m1}")
-    supported = [s <= d * min(m1, m - m1) for m1 in m1s]
-    nums = [0] * len(m1s)
-    if any(supported):
-        ks = [d * m1 for m1, on in zip(m1s, supported) if on]
-        power, r0, row = _cell_factors(g, s, n, ks)
-        c_ns = math.comb(n, s)
-        for i, m1 in enumerate(m1s):
-            coef = _coeff(power, g, r0, row, d * m1) if supported[i] else 0
-            if coef:
-                nums[i] = math.comb(m, m1) * c_ns * coef
-    return nums, [math.comb(d * m, d * m1) for m1 in m1s]
+    on = [m1 for m1 in m1s if s <= d * min(m1, m - m1)]
+    coefs = dict(zip(on, _cell_coeffs(g, s, n, [d * m1 for m1 in on],
+                                      len(on))))
+    c_ns = math.comb(n, s) if any(coefs.values()) else 0
+    nums, dens = [], []
+    for m1 in m1s:
+        coef = coefs.get(m1, 0)
+        nums.append(math.comb(m, m1) * c_ns * coef if coef else 0)
+        dens.append(math.comb(d * m, d * m1) if coef else 1)
+    return nums, dens
 
 
 def expected_bipartitions(params: EnsembleParams, s: int, m1: int) -> Fraction:
@@ -283,7 +271,9 @@ def expected_balanced_bipartitions(params: EnsembleParams, s: int,
                                    epsilon) -> Fraction:
     """Sum of ``expected_bipartitions`` over the eps-balanced |U1| range.
 
-    Builds p^s and the C(n-s, .) row once for the whole range.
+    Builds p^s and the C(n-s, .) row once for the whole range, and the
+    binomials of its nonzero cells only, so their denominators alone enter
+    the common one.
     """
     lo, hi = balanced_first_part_range(params.m, epsilon)
     nums, dens = _cells(params, s, range(lo, hi + 1))

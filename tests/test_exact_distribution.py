@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import random
+import sys
 import time
 import warnings
 from decimal import Decimal
@@ -92,16 +93,24 @@ def ladder_power(gamma, s):
     return power
 
 
-def ladder_cell_factors(gamma, s, n, ks):
-    """``_cell_factors`` by the ladder of multiplies: p^s from
-    ``ladder_power`` and C(n - s, r) for every r with
-    k - deg p^s <= gamma*r <= k, k in ``ks``."""
+def ladder_cell_coeffs(gamma, s, n, ks, cells=0):
+    """``_cell_coeffs`` with no band: coef(p^s q^(n-s), u^k) for k in
+    ``ks`` from the whole of ``ladder_power`` and the whole row
+    C(n - s, 0), ..., C(n - s, n - s)."""
     power = ladder_power(gamma, s)
-    t, r0 = n - s, max(0, -(-(min(ks) - len(power) + 1) // gamma))
-    row = [math.comb(t, r0)]
-    for r in range(r0, min(t, max(ks) // gamma)):
-        row.append(row[-1] * (t - r) // (r + 1))
-    return power, r0, row
+    row = [math.comb(n - s, r) for r in range(n - s + 1)]
+    return [sum(c * power[k - gamma * r] for r, c in enumerate(row)
+                if 0 <= k - gamma * r < len(power)) for k in ks]
+
+
+def same_cells(nums, dens, other_nums, other_dens):
+    """Whether nums[i] / dens[i] == other_nums[i] / other_dens[i] for every
+    i, cross-multiplied: a zero cell may be 0/1 on one side and 0/C on the
+    other."""
+    return (len(nums) == len(dens) == len(other_nums) == len(other_dens)
+            and min(dens) > 0 and min(other_dens) > 0
+            and all(a * d == c * b for a, b, c, d
+                    in zip(nums, dens, other_nums, other_dens)))
 
 
 def double_factorial(k):
@@ -260,32 +269,56 @@ class TestPowerRecurrence:
             want.append(want[-1] * (s - j) // (j + 1))
         assert self.power(3, s) == want
 
+    @staticmethod
+    def held(gamma, s, n, ks):
+        """The result of ``_cell_coeffs(gamma, s, n, ks)``, and the
+        binomials ``binom`` and coefficients ``power`` of f^s that it held
+        when it returned, read from its frame."""
+        kernel, frames = exact_distribution._cell_coeffs, []
+
+        def spy(frame, event, arg):
+            if event == "return" and frame.f_code is kernel.__code__:
+                frames.append(dict(frame.f_locals))
+
+        outer = sys.getprofile()
+        sys.setprofile(spy)
+        try:
+            coeffs = kernel(gamma, s, n, ks)
+        finally:
+            sys.setprofile(outer)
+        (held,) = frames
+        return coeffs, held["binom"], held["power"]
+
     def test_cell_holds_only_what_it_reads(self):
-        # p^s is zero below u^s and above u^((gamma-1)*s), so a gamma = 2
-        # cell reads one binomial, and any cell at most (gamma-2)*s/gamma + 1,
-        # each against one coefficient of p^s.
-        for gamma, s, n, k in [(2, 40, 100, 90), (2, 7, 9, 9),
-                               (3, 30, 90, 120), (5, 12, 60, 150),
-                               (4, 50, 60, 90), (6, 40, 45, 200),
-                               (7, 30, 200, 300)]:
-            power, r0, row = exact_distribution._cell_factors(
-                gamma, s, n, [k])
-            assert len(power) == (gamma - 1) * s + 1
-            rs = range(r0, r0 + len(row))
-            assert len(row) <= (gamma - 2) * s // gamma + 1
-            assert all(s <= k - gamma * r <= (gamma - 1) * s for r in rs)
-            full = [0] * s + list(exact_distribution._power_coeffs(gamma, s))
-            assert [i for i, a in enumerate(power) if a] == sorted(
-                k - gamma * r for r in rs)
-            assert all(power[k - gamma * r] == full[k - gamma * r]
-                       for r in rs)
-        _, _, row = exact_distribution._cell_factors(2, 40, 100, [90])
-        assert row == [math.comb(60, 25)]
-        assert exact_distribution._cell_factors(3, 10, 20, [9])[2] == []
+        # p^s = u^s f^s is zero below u^s and above u^((gamma-1)*s), so
+        # u^k reads the C(n - s, r) with s <= k - gamma*r <= (gamma-1)*s, at
+        # most (gamma-2)*s//gamma + 1 of them, each against a_j of f^s at
+        # j = k - s - gamma*r.  The kernel holds those and nothing else.
+        for gamma, s, n, ks in [(2, 40, 100, [90]), (2, 7, 9, [9]),
+                                (3, 30, 90, [120]), (5, 12, 60, [150]),
+                                (4, 50, 60, [90]), (6, 40, 45, [200]),
+                                (7, 30, 200, [300]), (1, 0, 30, [4, 9]),
+                                (3, 30, 90, [100, 104, 120, 180]),
+                                (4, 20, 100, [40, 300, 46])]:
+            t = n - s
+            spans = {k: [r for r in range(t + 1)
+                         if s <= k - gamma * r <= (gamma - 1) * s]
+                     for k in ks}
+            assert all(len(rs) <= (gamma - 2) * s // gamma + 1
+                       for rs in spans.values())
+            full = list(exact_distribution._power_coeffs(gamma, s))
+            coeffs, binom, power = self.held(gamma, s, n, ks)
+            assert binom == {r: math.comb(t, r)
+                             for rs in spans.values() for r in rs}
+            assert power == {k - s - gamma * r: full[k - s - gamma * r]
+                             for k, rs in spans.items() for r in rs}
+            assert coeffs == ladder_cell_coeffs(gamma, s, n, ks)
+        assert self.held(2, 40, 100, [90])[1] == {25: math.comb(60, 25)}
+        assert self.held(3, 10, 20, [9]) == ([0], {}, {})
 
     def test_cells_match_ladder(self, monkeypatch):
         # Seeded values of every single-cell function, equal to those built
-        # from ladder_cell_factors.
+        # from ladder_cell_coeffs.
         rng = random.Random(29)
         calls = []
         while len(calls) < 5000:
@@ -304,8 +337,8 @@ class TestPowerRecurrence:
                       (expected_balanced_bipartitions, (params, s, 0)),
                       (expected_balanced_bipartitions, (params, s, "1/10"))]
         got = [f(*args) for f, args in calls]
-        monkeypatch.setattr(exact_distribution, "_cell_factors",
-                            ladder_cell_factors)
+        monkeypatch.setattr(exact_distribution, "_cell_coeffs",
+                            ladder_cell_coeffs)
         want = [f(*args) for f, args in calls]
         assert got == want
 
@@ -454,8 +487,9 @@ class TestCutsizeTable:
                     table = cutsize_table(params)
                     m1s = range(params.m + 1)
                     for s, row in enumerate(table.num):
-                        nums, dens = exact_distribution._cells(params, s, m1s)
-                        assert (list(row), list(table.den)) == (nums, dens), (
+                        assert same_cells(row, table.den,
+                                          *exact_distribution._cells(
+                                              params, s, m1s)), (
                             n, gamma, delta, s)
 
     @pytest.mark.parametrize("n, gamma, delta", [
@@ -467,8 +501,8 @@ class TestCutsizeTable:
         m1s = range(params.m + 1)
         rng = random.Random(f"{n}-{gamma}-{delta}")
         for s in [0, n, *rng.sample(range(1, n), 6)]:
-            nums, dens = exact_distribution._cells(params, s, m1s)
-            assert (list(table.num[s]), list(table.den)) == (nums, dens), s
+            assert same_cells(table.num[s], table.den,
+                              *exact_distribution._cells(params, s, m1s)), s
 
     @staticmethod
     def _bumped(params, *bumps):
@@ -646,6 +680,17 @@ class TestGammaTwoReference:
                 == float("-inf")
 
 
+# The (10^6, 2, 4) cell at s = 10^5 and m1 = m/2 pays for its binomials of
+# up to gamma*n bits and is refused by the work budget; the bare
+# coefficient builds none, so it passes that budget and is refused by the
+# row bound instead.
+WORK_REFUSED = (r"^128180000000000 bit operations for p\^s and the r-sums "
+                r"and binomials of 1 cell\(s\) exceed the single-cell "
+                r"budget 2000000000000$")
+ROW_REFUSED = (r"^n - s = 900000 exceeds the single-cell budget 50000 of the "
+               r"C\(n - s, \.\) row$")
+
+
 class TestLog2:
     def test_frozen_value(self):
         p = validate(4, 2, 4)
@@ -701,19 +746,20 @@ class TestLog2:
                     - Decimal(exact.denominator).ln()) / Decimal(2).ln())
             assert abs(got - ref) <= Decimal("2e-12")
 
-    @pytest.mark.parametrize("evaluate", [
-        lambda p, s: expected_bipartitions(p, s, p.m // 2),
-        lambda p, s: log2_expected_bipartitions(p, s, p.m // 2),
-        lambda p, s: expected_balanced_bipartitions(p, s, 0),
-        lambda p, s: constellation_coeff(p.gamma, s, p.n, p.xi // 2)])
-    def test_cell_over_budget_refused_at_once(self, evaluate):
-        p = validate(10**6, 2, 4)
+    @pytest.mark.parametrize("case", [
+        lambda p, s: (expected_bipartitions, (p, s, p.m // 2), WORK_REFUSED),
+        lambda p, s: (log2_expected_bipartitions, (p, s, p.m // 2),
+                      WORK_REFUSED),
+        lambda p, s: (expected_balanced_bipartitions, (p, s, 0),
+                      WORK_REFUSED),
+        lambda p, s: (constellation_coeff, (p.gamma, s, p.n, p.xi // 2),
+                      ROW_REFUSED)])
+    def test_cell_over_budget_refused_at_once(self, case):
+        # Each case is (function, arguments, refusal) at s = 10^5.
+        evaluate, args, message = case(validate(10**6, 2, 4), 10**5)
         start = time.monotonic()
-        with pytest.raises(CapExceeded, match=(
-                r"^128180000000000 bit operations for p\^s and the r-sums "
-                r"and binomials of 1 cell\(s\) exceed the single-cell "
-                r"budget 2000000000000$")):
-            evaluate(p, 10**5)
+        with pytest.raises(CapExceeded, match=message):
+            evaluate(*args)
         assert time.monotonic() - start < 1.0
 
     def test_long_row_refused_at_once(self):
@@ -728,7 +774,7 @@ class TestLog2:
         # One cell of (6000, 3, 6) at s = 1200 is inside the budget; the
         # 301 cells of its eps = 1/10 balanced sum are not.
         p = validate(6000, 3, 6)
-        exact_distribution._check_cell_budget(3, 1200, 6000)
+        exact_distribution._check_cell_budget(3, 1200, 6000, 1, 1)
         start = time.monotonic()
         with pytest.raises(CapExceeded, match=r"of 301 cell\(s\) exceed"):
             expected_balanced_bipartitions(p, 1200, "1/10")
@@ -739,7 +785,31 @@ class TestLog2:
     def test_reference_cells_within_budget(self, gamma, s):
         # The n = 20000 cells of (2, 4) and (3, 6) at s = n/10 and n/5 stay
         # exact references.
-        exact_distribution._check_cell_budget(gamma, s, 20000)
+        exact_distribution._check_cell_budget(gamma, s, 20000, 1, 1)
+
+    def test_wide_balanced_sum_builds_only_nonzero_cells(self):
+        # Of the 3961 m1 of (8000, 2, 4) at eps = 0.99, only m1 = m/2 is on
+        # the support at s = n: the sum is that one cell,
+        # C(4000, 2000) * 2^8000 / C(16000, 8000).  Building every m1's
+        # gamma*n-bit denominator took 11 s (Python 3.11, 2-core VM).
+        start = time.monotonic()
+        got = expected_balanced_bipartitions(validate(8000, 2, 4), 8000,
+                                             "0.99")
+        assert time.monotonic() - start < 1.0
+        assert got == Fraction(math.comb(4000, 2000) * 2**8000,
+                               math.comb(16000, 8000))
+        assert hashlib.sha256(
+            f"{got.numerator}/{got.denominator}".encode()).hexdigest() == (
+            "81381cc293448e689c9c3a97ac142b0e3473fcde468b0ec08834de32880cadf7")
+
+    def test_coefficient_not_charged_for_cell_binomials(self):
+        # p = 2u for gamma = 2, so u^n reads only r = (n - s)/2.  Charged
+        # for a table cell's binomials, this call was refused at 5.1e12
+        # bit operations.
+        start = time.monotonic()
+        got = constellation_coeff(2, 150_000, 200_000, 200_000)
+        assert time.monotonic() - start < 1.0
+        assert got == 2**150_000 * math.comb(50_000, 25_000)
 
 
 class TestCsv:
