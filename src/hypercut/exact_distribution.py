@@ -18,8 +18,8 @@ product of two big integers.  A single cell instead expands q^t by the
 binomial theorem, coef(p^s q^t, u^k) = sum_r C(t, r) * coef(p^s,
 u^(k - gamma*r)), in one kernel (``_cell_coeffs``), so it does not pay for
 G_0 ... G_s.  For each k it finds once the span of r where p^s is nonzero,
-builds C(t, r) only over those spans, and keeps only the coefficients of
-p^s, made one by one from the power recurrence of p/u, that the spans read.
+keeps C(t, r) only over those spans, and only the coefficients of p^s,
+made one by one from the power recurrence of p/u, that the spans read.
 The two paths share no step and check each other in the tests.  A single
 cell has its own budget, checked before any of its work starts.
 Coefficients are arbitrary-precision integers.
@@ -61,9 +61,10 @@ _MAX_TABLE_BITS = 6 * 10**9
 #: Largest work of a single cell or balanced sum, in bit operations (one
 #: bit times one bit of a schoolbook product, about 1e-12 s).  Every entry
 #: point is charged, before it starts:
-#: * once, the recurrence for p^s: (gamma-2)*s steps on numbers below
-#:   2^(gamma*s), each an exact division by a one-digit integer plus
-#:   gamma - 2 small multiples, at 64*(gamma+5) per bit;
+#: * once, p^s: a_0 = gamma^s, below 2^(gamma*s), by repeated squaring at
+#:   (gamma*s)^2, then the recurrence, (gamma-2)*s steps on numbers of that
+#:   size, each an exact division by a one-digit integer plus gamma - 2
+#:   small multiples, at 64*(gamma+5) per bit;
 #: * per coefficient asked, (gamma-2)*s//gamma + 1 products of a
 #:   C(n - s, r) by a coefficient of p^s, (n - s)*gamma*s each;
 #: * per table cell on the support, which builds C(m, m1), C(n, s) and
@@ -71,12 +72,13 @@ _MAX_TABLE_BITS = 6 * 10**9
 #:   ``constellation_coeff`` builds no such binomial and pays none.
 #: The (3, 6) cell at n = 20000, s = n/5 (4.0e11) takes about 0.26 s.  At
 #: the bound the slowest single cells took 1.1-1.6 s and the slowest
-#: balanced sums 1.5-2.0 s for each of gamma = 2, ..., 6, and no call
-#: peaked above 29 MiB (Python 3.11 on a shared 2-core VM).
+#: balanced sums 1.0-2.0 s for each of gamma = 2, ..., 6, gamma^s alone
+#: at most 0.03 s, and no call peaked above 29 MiB (Python 3.11 on a
+#: shared 2-core VM).
 _MAX_CELL_WORK = 2 * 10**12
-#: Largest n - s of a single cell: it builds the binomials C(n - s, r), of
-#: up to n - s bits, that its cells read, one step of the row per r.  The
-#: whole row at the bound took 0.8 s and 246 MiB.
+#: Largest n - s of a single cell: it steps the row C(n - s, r), of up to
+#: n - s bits, from the first r its cells read to the last, and keeps those
+#: they read.  The whole row held at the bound took 0.8 s and 246 MiB.
 _MAX_CELL_ROW = 50_000
 
 
@@ -101,13 +103,15 @@ def _times_p(poly: list[int], gamma: int) -> list[int]:
 def _check_cell_budget(gamma: int, s: int, n: int, coeffs: int,
                        cells: int) -> None:
     terms = max(0, gamma - 2) * s // gamma + 1  # r-sum products per coeff
-    work = (64 * (gamma + 5) * gamma * max(0, gamma - 2) * s * s
+    work = ((gamma * gamma + 64 * (gamma + 5) * gamma * max(0, gamma - 2))
+            * s * s
             + coeffs * terms * (n - s) * gamma * s
             + cells * 32 * (gamma * n) ** 2)
     if work > _MAX_CELL_WORK:
-        raise CapExceeded(f"{work} bit operations for p^s and the r-sums "
-                          f"and binomials of {coeffs} cell(s) exceed the "
-                          f"single-cell budget {_MAX_CELL_WORK}")
+        raise CapExceeded(f"{work} bit operations for p^s, the r-sums of "
+                          f"{coeffs} coefficient(s) and the binomials of "
+                          f"{cells} cell(s) exceed the single-cell budget "
+                          f"{_MAX_CELL_WORK}")
     if n - s > _MAX_CELL_ROW:
         raise CapExceeded(f"n - s = {n - s} exceeds the single-cell budget "
                           f"{_MAX_CELL_ROW} of the C(n - s, .) row")
@@ -144,10 +148,11 @@ def _cell_coeffs(gamma: int, s: int, n: int, ks: Sequence[int],
     q^t = sum_r C(t, r) u^(gamma*r), and p^s = u^s f^s is nonzero from u^s
     to u^((gamma-1)*s), so u^k reads only the r of its span
     s <= k - gamma*r <= (gamma-1)*s, 0 <= r <= t, each against a_j of
-    ``_power_coeffs`` at j = k - s - gamma*r.  Only the C(t, r) of the
-    spans and the a_j that some k reads are built or kept.  ``cells`` is
-    the number of table cells whose binomials the caller builds after;
-    ``_check_cell_budget`` charges them with this work before any of it.
+    ``_power_coeffs`` at j = k - s - gamma*r.  The row is stepped from the
+    first span's r to the last, and only the C(t, r) of the spans and the
+    a_j that some k reads are kept.  ``cells`` is the number of table cells
+    whose binomials the caller builds after; ``_check_cell_budget`` charges
+    them with this work before any of it.
     """
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
@@ -157,10 +162,13 @@ def _cell_coeffs(gamma: int, s: int, n: int, ks: Sequence[int],
     t = n - s
     spans = [range(max(0, -(-(k - (gamma - 1) * s) // gamma)),
                    min(t, (k - s) // gamma) + 1) for k in ks]
-    binom = {}
-    for r in sorted(set().union(*spans)):
-        binom[r] = (binom[r - 1] * (t - r + 1) // r if r - 1 in binom
-                    else math.comb(t, r))
+    rs, binom = set().union(*spans), {}
+    if rs:  # one step of the row per r, across any gaps between spans
+        c = math.comb(t, min(rs))
+        for r in range(min(rs), max(rs) + 1):
+            if r in rs:
+                binom[r] = c
+            c = c * (t - r) // (r + 1)
     reads = {k - s - gamma * r for k, span in zip(ks, spans) for r in span}
     power = {j: a for j, a in zip(range(max(reads, default=-1) + 1),
                                   _power_coeffs(gamma, s)) if j in reads}

@@ -104,12 +104,14 @@ def ladder_cell_coeffs(gamma, s, n, ks, cells=0):
 
 
 def same_cells(nums, dens, other_nums, other_dens):
-    """Whether nums[i] / dens[i] == other_nums[i] / other_dens[i] for every
-    i, cross-multiplied: a zero cell may be 0/1 on one side and 0/C on the
-    other."""
+    """Whether the table cells nums[i] / dens[i] and the single cells
+    other_nums[i] / other_dens[i] hold the same numerator and denominator
+    wherever the table's numerator is nonzero, and a zero numerator
+    elsewhere: a zero cell is 0/C(delta*m, delta*m1) in the table and 0/1
+    as a single cell."""
     return (len(nums) == len(dens) == len(other_nums) == len(other_dens)
-            and min(dens) > 0 and min(other_dens) > 0
-            and all(a * d == c * b for a, b, c, d
+            and min(other_dens) > 0
+            and all((a, b) == (c, d) if a else c == 0 for a, b, c, d
                     in zip(nums, dens, other_nums, other_dens)))
 
 
@@ -683,10 +685,14 @@ class TestGammaTwoReference:
 # The (10^6, 2, 4) cell at s = 10^5 and m1 = m/2 pays for its binomials of
 # up to gamma*n bits and is refused by the work budget; the bare
 # coefficient builds none, so it passes that budget and is refused by the
-# row bound instead.
-WORK_REFUSED = (r"^128180000000000 bit operations for p\^s and the r-sums "
-                r"and binomials of 1 cell\(s\) exceed the single-cell "
-                r"budget 2000000000000$")
+# row bound instead.  The coefficient at s = n = 10^9 reads no row but
+# would build 2^s, and is refused by the work budget.
+WORK_REFUSED = (r"^128220000000000 bit operations for p\^s, the r-sums of 1 "
+                r"coefficient\(s\) and the binomials of 1 cell\(s\) exceed "
+                r"the single-cell budget 2000000000000$")
+POWER_REFUSED = (r"^4000000000000000000 bit operations for p\^s, the r-sums "
+                 r"of 1 coefficient\(s\) and the binomials of 0 cell\(s\) "
+                 r"exceed the single-cell budget 2000000000000$")
 ROW_REFUSED = (r"^n - s = 900000 exceeds the single-cell budget 50000 of the "
                r"C\(n - s, \.\) row$")
 
@@ -753,9 +759,13 @@ class TestLog2:
         lambda p, s: (expected_balanced_bipartitions, (p, s, 0),
                       WORK_REFUSED),
         lambda p, s: (constellation_coeff, (p.gamma, s, p.n, p.xi // 2),
-                      ROW_REFUSED)])
+                      ROW_REFUSED),
+        lambda p, s: (constellation_coeff, (p.gamma, p.n * 1000,
+                                            p.n * 1000, p.n * 1000),
+                      POWER_REFUSED)])
     def test_cell_over_budget_refused_at_once(self, case):
-        # Each case is (function, arguments, refusal) at s = 10^5.
+        # Each case is (function, arguments, refusal) at s = 10^5, or at
+        # s = n = 10^9 for the last.
         evaluate, args, message = case(validate(10**6, 2, 4), 10**5)
         start = time.monotonic()
         with pytest.raises(CapExceeded, match=message):
