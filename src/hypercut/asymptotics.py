@@ -19,7 +19,11 @@ peak_sigma(mu1).  peak_sigma decreases on [1/2, 1), so h is nondecreasing
 on the monotone prefix sigma <= peak_sigma((1+eps)/2), and past it every
 sigma is the peak of some allowed mu1, so h is positive there.  The sign
 of h is therefore monotone in sigma, and the root search binary-searches
-a sigma grid for its first positive point.
+a sigma grid for its first positive point, then bisects the last step,
+fenced as the inner bisection below is.  Only the sign of h is needed,
+so each test stops at the first mu1 candidate with a positive value; it
+tries mu1 = (1+eps)/2 first, which holds the maximum just above the root
+for gamma 2-6, delta 3-21 and eps from 1/1000 to 9999/10000.
 
 All logarithms are base 2.  The inner infimum is smooth and convex in
 t = ln u, so it is located by geometric bracketing plus bisection on the
@@ -57,7 +61,9 @@ _GUARD_POINTS = 8
 _MU1_TOL = 1e-8
 #: |phi'| in bits below which the inner minimizer counts as stationary.
 _SLOPE_TOL = 1e-12
-#: How far past ``_SLOPE_TOL`` a probed slope must lie to fence off a side.
+#: How far past ``_SLOPE_TOL`` a probed slope, and how far from 0 a probed
+#: balanced rate, must lie to fence off a side.  Both are evaluated with a
+#: rounding error of about 1e-15 bits, over 10^3 times smaller.
 _FENCE_MARGIN = 8 * _SLOPE_TOL
 #: Most Anderson-Bjorck probes placing the fences before the bisection
 #: starts.
@@ -166,6 +172,50 @@ def _ratio_q(t: float, gamma: int) -> float:
     return gamma / (1.0 + math.exp(-gt))
 
 
+def _fences(f, a: float, fa: float, b: float, fb: float,
+            level: float) -> tuple[float, float]:
+    """Fences on the sign change of f in [a, b], where fa <= 0 < fb.
+
+    The sign of f must be nondecreasing in its argument.  Up to ``_PROBES``
+    Anderson-Bjorck probes (regula falsi steps with the Anderson-Bjorck
+    weight, BIT 13, 1973, on the end that stays put) move a and b in on
+    the sign change; the first probe with |f| < ``level`` adds one probe on
+    each side, 2*level/slope away, and ends the search.  Returns (neg, pos):
+    the largest probed point with f <= -level and the smallest with
+    f >= level, or -inf and inf where there is none.  A bisection whose
+    test errs by less than ``level`` knows its outcome at a midpoint at or
+    below neg (at or above pos) without evaluating it.
+    """
+    ga, gb, side = fa, fb, 0  # weighted fa, fb; last side moved
+    for _ in range(_PROBES):
+        x = b - gb * (b - a) / (gb - ga)
+        if not a < x < b:
+            break
+        fx = f(x)
+        if abs(fx) < level:
+            off = 2.0 * level * (b - a) / (fb - fa)  # 2*level/slope
+            for t in (x - off, x + off):
+                if a < t < b:
+                    if (ft := f(t)) <= -level:
+                        a, fa = t, ft
+                    elif ft >= level:
+                        b, fb = t, ft
+            break
+        # An end that moves twice in a row scales the other end's weight by
+        # 1 - f(new)/f(replaced), or by 1/2 where that is not positive.
+        if fx < 0.0:
+            if side < 0:
+                w = 1.0 - fx / fa
+                gb *= w if w > 0.0 else 0.5
+            a, fa, ga, side = x, fx, fx, -1
+        else:
+            if side > 0:
+                w = 1.0 - fx / fb
+                ga *= w if w > 0.0 else 0.5
+            b, fb, gb, side = x, fx, fx, 1
+    return (a if fa <= -level else -math.inf), (b if fb >= level else math.inf)
+
+
 def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
     """Minimize sigma*log2 p(u) + (1-sigma)*log2 q(u) - mu1*gamma*log2 u.
 
@@ -175,9 +225,10 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
     t = 0 downhill and polished by bisection on the derivative until
     |phi'| < ``_SLOPE_TOL`` bits.  Returns (u_star, value in bits).
 
-    Before the bisection, up to ``_PROBES`` Anderson-Bjorck probes inside
-    the last bracketing pair, plus one on each side of the first probe
-    within the fence level tol + ``_FENCE_MARGIN``, record two fences:
+    Before the bisection, ``_fences`` places up to ``_PROBES``
+    Anderson-Bjorck probes inside the last bracketing pair, plus one on
+    each side of the first probe within the fence level
+    tol + ``_FENCE_MARGIN``, and records two fences:
     ``neg``, the largest probed t with phi' <= -(tol + margin), and ``pos``,
     the smallest with phi' >= tol + margin.  A midpoint at or below ``neg``
     moves ``lo`` and one at or above ``pos`` moves ``hi`` without evaluating
@@ -186,8 +237,7 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
     1e-14 up to gamma = 12), so an evaluation there would have given
     |phi'| >= tol with the sign implied: the path, the result and every
     error message are those of plain bisection, at about a third of its
-    slope evaluations.  The probes are regula falsi steps with the
-    Anderson-Bjorck weight (BIT 13, 1973) on the end that stays put.
+    slope evaluations.
     """
     if gamma < 2:
         raise ValueError("inner infimum needs gamma >= 2")
@@ -219,41 +269,8 @@ def inner_infimum(sigma: float, mu1: float, gamma: int) -> tuple[float, float]:
         if abs(far) > 2.0 ** 40:
             raise RuntimeError(f"bracketing ran away: t={far}, dphi={d}")
     lo, hi = (far, 0.0) if far < 0.0 else (0.0, far)
-
-    # Anderson-Bjorck probes inside the last bracketing pair move its ends
-    # a < b in on the root.  An end where |dphi| >= tol + margin is a fence:
-    # by monotonicity, every midpoint on its far side has a known outcome.
-    fence = _SLOPE_TOL + _FENCE_MARGIN
     (a, fa), (b, fb) = sorted([(near, d_near), (far, d)])
-    ga, gb, side = fa, fb, 0  # weighted fa, fb; last side moved
-    for _ in range(_PROBES):
-        x = b - gb * (b - a) / (gb - ga)
-        if not a < x < b:
-            break
-        fx = dphi(x)
-        if abs(fx) < fence:
-            off = 2.0 * fence * (b - a) / (fb - fa)  # 2*fence/slope
-            for t in (x - off, x + off):
-                if a < t < b:
-                    if (dt := dphi(t)) <= -fence:
-                        a, fa = t, dt
-                    elif dt >= fence:
-                        b, fb = t, dt
-            break
-        # An end that moves twice in a row scales the other end's weight by
-        # 1 - f(new)/f(replaced), or by 1/2 where that is not positive.
-        if fx < 0.0:
-            if side < 0:
-                w = 1.0 - fx / fa
-                gb *= w if w > 0.0 else 0.5
-            a, fa, ga, side = x, fx, fx, -1
-        else:
-            if side > 0:
-                w = 1.0 - fx / fb
-                ga *= w if w > 0.0 else 0.5
-            b, fb, gb, side = x, fx, fx, 1
-    neg = a if fa <= -fence else -math.inf
-    pos = b if fb >= fence else math.inf
+    neg, pos = _fences(dphi, a, fa, b, fb, _SLOPE_TOL + _FENCE_MARGIN)
 
     # dphi(lo) < 0 < dphi(hi); dphi is nondecreasing, so bisect it.  The
     # width test's right side never exceeds ``stop``, which is cheaper to
@@ -343,9 +360,26 @@ def balanced_growth_rate(sigma: float, epsilon, ensemble) -> GrowthPoint:
     point carries the float eps in its ``mu1`` field.
     """
     epsilon = float(_bipartition_ratio(epsilon))
+    found = list(_balanced_candidates(sigma, epsilon, ensemble))
+    # The first maximum in guard-grid order, whose last point is the one
+    # found first, (1+eps)/2.
+    end = _GUARD_POINTS + 1
+    found = found[1:end] + found[:1] + found[end:]
+    best = max(found, key=lambda p: p.value)
+    return GrowthPoint(sigma, epsilon, best.value, best.u_star)
+
+
+def _balanced_candidates(sigma: float, epsilon: float, ensemble):
+    """Yield the candidate points of the maximization over mu1.
+
+    The top end (1+eps)/2 of the guard grid comes first, then the rest of
+    the guard grid in order, then the points of each slope bisection.  eps
+    is a float in [0, 1); eps = 0 yields the single point mu1 = 1/2.  See
+    ``balanced_growth_rate`` for the grid and the bisections.
+    """
     if epsilon == 0.0:
-        g = growth_rate(sigma, 0.5, ensemble)
-        return GrowthPoint(sigma, 0.0, g.value, g.u_star)
+        yield growth_rate(sigma, 0.5, ensemble)
+        return
 
     gamma, delta = _degrees(ensemble)
     ent_factor = gamma * (delta - 1) / delta
@@ -366,8 +400,14 @@ def balanced_growth_rate(sigma: float, epsilon, ensemble) -> GrowthPoint:
                 f"in bracket [{lo}, {up}]; guard grid {grid}")
         return d
 
-    candidates = [growth_rate(sigma, mu, ensemble) for mu in grid]
-    slopes = [0.0] + [slope(p, 0.5, hi) for p in candidates[1:]]
+    top = growth_rate(sigma, hi, ensemble)
+    yield top
+    points = []
+    for mu in grid[:-1]:
+        points.append(growth_rate(sigma, mu, ensemble))
+        yield points[-1]
+    points.append(top)
+    slopes = [0.0] + [slope(p, 0.5, hi) for p in points[1:]]
     for i in range(len(grid) - 1):
         if not slopes[i] > 0.0 > slopes[i + 1]:
             continue
@@ -375,14 +415,26 @@ def balanced_growth_rate(sigma: float, epsilon, ensemble) -> GrowthPoint:
         while up - lo > _MU1_TOL:
             mid = 0.5 * (lo + up)
             p = growth_rate(sigma, mid, ensemble)
-            candidates.append(p)
+            yield p
             if slope(p, lo, up) > 0.0:
                 lo = mid
             else:
                 up = mid
 
-    best = max(candidates, key=lambda p: p.value)
-    return GrowthPoint(sigma, epsilon, best.value, best.u_star)
+
+def _sign_rate(sigma: float, epsilon: float, ensemble) -> float:
+    """The balanced rate at sigma when it is not positive, else a positive
+    value at most the rate: the first candidate with a positive value.
+
+    eps is a float in [0, 1).  The candidates are those of
+    ``balanced_growth_rate``, with the same bits, so the sign is the rate's.
+    """
+    best = _NEG_INF
+    for p in _balanced_candidates(sigma, epsilon, ensemble):
+        if p.value > 0.0:
+            return p.value
+        best = max(best, p.value)
+    return best
 
 
 def balanced_growth_rate_closed(sigma: float, ensemble) -> float:
@@ -434,6 +486,17 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     the whole grid, and the bracket, and so the root, is the one a
     point-by-point scan finds.
 
+    Each point is tested by ``_sign_rate``, which stops at the first mu1
+    candidate with a positive value and so has the rate's sign.  Before the
+    final bisection, ``_fences`` probes inside the bracket (the bracket's
+    lower end sigma = 0 is evaluated when the first grid point is already
+    positive) and fences off the sigma where the tested value is at least
+    ``_FENCE_MARGIN`` from 0.  The sign is monotone and the margin is far
+    above the rate's rounding error, so a midpoint past a fence is decided
+    without a test: the midpoints, and so the root, are bit for bit those of
+    a bisection that tests every midpoint, at about a fifth of its inner
+    solves at eps > 0.
+
     Needs gamma >= 2, delta >= 3 (the regime where the rate starts <= 0 and
     the peak is positive, so a root exists).  A grid whose top point is not
     positive raises RuntimeError carrying the evaluated (sigma, rate) pairs
@@ -444,7 +507,7 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     gamma, delta = _degrees(ensemble)
     if gamma < 2 or delta < 3:
         raise ValueError("typical minimum cutsize needs gamma >= 2, delta >= 3")
-    eps = _bipartition_ratio(epsilon)
+    eps = float(_bipartition_ratio(epsilon))
     top = peak_sigma(0.5, gamma)
 
     points: list[float] = []
@@ -456,8 +519,11 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
 
     grid: list[tuple[float, float]] = []
 
+    def rate(sigma: float) -> float:
+        return _sign_rate(sigma, eps, ensemble)
+
     def positive(i: int) -> bool:
-        v = balanced_growth_rate(points[i], eps, ensemble).value
+        v = rate(points[i])
         grid.append((points[i], v))
         return v > 0.0
 
@@ -480,9 +546,17 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
             else:
                 below = mid
     lo, hi = (points[first - 1] if first else 0.0), points[first]
+    rates = dict(grid)
+    if not first:
+        rates[lo] = rate(lo)
+    # rate(lo) <= 0 < rate(hi).  Fences where the rate is at least
+    # ``_FENCE_MARGIN`` from 0 decide a midpoint past them unevaluated.
+    neg, pos = _fences(rate, lo, rates[lo], hi, rates[hi], _FENCE_MARGIN)
     while hi - lo > _SIGMA_TOL:
         mid = 0.5 * (lo + hi)
-        if balanced_growth_rate(mid, eps, ensemble).value > 0.0:
+        if mid <= neg:
+            lo = mid
+        elif mid >= pos or rate(mid) > 0.0:
             hi = mid
         else:
             lo = mid

@@ -349,6 +349,22 @@ class TestBalancedGrowthRate:
             balanced_growth_rate(sigma, eps, ens)
             assert 0 < len(calls) <= 40
 
+    @pytest.mark.parametrize("eps", ["1/100", "1/20", "1/2", "9/10"])
+    @pytest.mark.parametrize("ens", [(2, 3), (3, 6), (5, 21)])
+    def test_curve_equals_grid_order_maximum(self, ens, eps):
+        # the candidates come (1+eps)/2 first; the returned point is still
+        # the first maximum in guard-grid order, ties and u* included
+        grid = [i / 200 for i in range(201)]
+        for p in curve(ens, eps, grid):
+            ref = _grid_order_balanced(p.sigma, float(Fraction(eps)), ens)
+            assert (p.value, p.u_star) == (ref.value, ref.u_star), p.sigma
+
+    def test_tie_goes_to_the_first_guard_point(self, monkeypatch):
+        # (1+eps)/2 is evaluated first but ranks last among the guard points
+        monkeypatch.setattr(asymptotics, "growth_rate",
+                            lambda s, mu1, ens: GrowthPoint(s, mu1, 0.0, mu1))
+        assert balanced_growth_rate(0.2, 0.5, (2, 4)).u_star == 0.5
+
     def test_undecidable_slope_raises_with_bracket(self, monkeypatch):
         real = asymptotics.growth_rate
         seen = []
@@ -364,6 +380,42 @@ class TestBalancedGrowthRate:
         monkeypatch.setattr(asymptotics, "growth_rate", nan_past_grid)
         with pytest.raises(RuntimeError, match=r"bracket \[0\.\d+, 0\.\d+\]"):
             balanced_growth_rate(0.26, 0.6, (2, 5))
+
+
+def _grid_order_balanced(sigma, eps, ens):
+    """Reference balanced rate: the candidate loop that evaluated the guard
+    grid in mu1 order, 1/2 first, and took the first maximum."""
+    if eps == 0.0:
+        return growth_rate(sigma, 0.5, ens)
+    gamma, delta = ens
+    ent_factor = gamma * (delta - 1) / delta
+    hi = (1.0 + eps) / 2.0
+    step = (hi - 0.5) / (asymptotics._GUARD_POINTS - 1)
+    grid = ([0.5, 0.5 + step / 1000.0]
+            + [0.5 + i * step
+               for i in range(1, asymptotics._GUARD_POINTS - 1)] + [hi])
+
+    def slope(p):
+        if p.u_star is None or p.value == float("-inf"):
+            return float("-inf")
+        return (ent_factor * math.log(p.mu1 / (1.0 - p.mu1))
+                - gamma * math.log(p.u_star)) / math.log(2.0)
+
+    candidates = [growth_rate(sigma, mu, ens) for mu in grid]
+    slopes = [0.0] + [slope(p) for p in candidates[1:]]
+    for i in range(len(grid) - 1):
+        if not slopes[i] > 0.0 > slopes[i + 1]:
+            continue
+        lo, up = grid[i], grid[i + 1]
+        while up - lo > asymptotics._MU1_TOL:
+            mid = 0.5 * (lo + up)
+            p = growth_rate(sigma, mid, ens)
+            candidates.append(p)
+            if slope(p) > 0.0:
+                lo = mid
+            else:
+                up = mid
+    return max(candidates, key=lambda p: p.value)
 
 
 class TestClosedForm:
@@ -456,9 +508,8 @@ class TestTypicalMinCutsize:
             typical_min_cutsize(0.0, (2, 2))
 
     def test_no_sign_change_raises_with_grid(self, monkeypatch):
-        monkeypatch.setattr(
-            asymptotics, "balanced_growth_rate",
-            lambda s, eps, ens: GrowthPoint(s, eps, -1.0, None))
+        monkeypatch.setattr(asymptotics, "_sign_rate",
+                            lambda s, eps, ens: -1.0)
         with pytest.raises(RuntimeError, match="grid step 0.001") as info:
             typical_min_cutsize(0.0, (2, 4))
         grid = info.value.grid
@@ -470,6 +521,8 @@ class TestTypicalMinCutsize:
         (2, 3, "0"), (2, 4, "1/10"), (2, 6, "1/2"), (2, 21, "9/10"),
         (3, 4, "0"), (3, 5, "1/4"), (3, 9, "9/10"), (4, 5, "0"),
         (4, 8, "3/4"), (5, 6, "0"), (5, 10, "1/100"), (5, 21, "1/2"),
+        (2, 5, "1/1000"), (2, 4, "9999/10000"), (3, 21, "9999/10000"),
+        (6, 7, "0"), (6, 12, "1/1000"), (6, 20, "9999/10000"),
     ])
     def test_equals_linear_scan(self, gamma, delta, eps):
         # bit-identical to evaluating every grid point up to the first
@@ -492,15 +545,48 @@ class TestTypicalMinCutsize:
     @pytest.mark.parametrize("delta", [4, 5])
     def test_root_evaluation_budget(self, monkeypatch, delta):
         # a point-by-point scan of the grid below the root took 134 and 169
-        calls = []
+        # rate evaluations; a grid search plus a plain bisection 35 rate
+        # evaluations and 315 inner solves
+        calls = {"_sign_rate": 0, "inner_infimum": 0}
+        for name in calls:
+            real = getattr(asymptotics, name)
 
-        def counted(*args):
-            calls.append(args)
-            return balanced_growth_rate(*args)
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(asymptotics, "balanced_growth_rate", counted)
+            monkeypatch.setattr(asymptotics, name, counted)
         typical_min_cutsize("1/10", (2, delta))
-        assert len(calls) <= 40
+        assert calls["_sign_rate"] <= 18
+        assert calls["inner_infimum"] <= 80
+
+    def test_fenced_root_equals_plain_bisection(self, monkeypatch):
+        # the fences skip root bisection midpoints whose sign is known, and
+        # a sign test stops at its first positive candidate; the plain side
+        # evaluates the full balanced rate at every point
+        calls = {"fenced": 0, "plain": 0}
+        sign_rate = asymptotics._sign_rate
+        side = "fenced"
+
+        def counted(sigma, eps, ens):
+            calls[side] += 1
+            if side == "fenced":
+                return sign_rate(sigma, eps, ens)
+            return balanced_growth_rate(sigma, eps, ens).value
+
+        monkeypatch.setattr(asymptotics, "_sign_rate", counted)
+        for gamma in range(2, 7):
+            for delta in (3, 5, 13, 21):
+                for eps in ("0", "1/100", "1/10", "1/2", "9/10"):
+                    side, start = "fenced", calls["fenced"]
+                    got = typical_min_cutsize(eps, (gamma, delta))
+                    assert calls["fenced"] - start <= 18, (gamma, delta, eps)
+                    side = "plain"
+                    with monkeypatch.context() as plain:
+                        plain.setattr(asymptotics, "_fences",
+                                      lambda *args: (-math.inf, math.inf))
+                        assert got == typical_min_cutsize(eps, (gamma, delta))
+        assert calls["fenced"] < calls["plain"] / 2
 
 
 def _scan_min_cutsize(epsilon, ensemble):
