@@ -494,7 +494,7 @@ def typical_min_cutsize(epsilon, ensemble) -> float:
     ``_FENCE_MARGIN`` from 0.  The sign is monotone and the margin is far
     above the rate's rounding error, so a midpoint past a fence is decided
     without a test: the midpoints, and so the root, are bit for bit those of
-    a bisection that tests every midpoint, at about a fifth of its inner
+    a bisection that tests every midpoint, at about a quarter of its inner
     solves at eps > 0.
 
     Needs gamma >= 2, delta >= 3 (the regime where the rate starts <= 0 and
